@@ -118,18 +118,12 @@ def _cmd_pmf(args, with_pmf_column: bool = True) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         table = ds_pmf(p, n_max=args.nmax, tail_bound=args.tail_bound)
-    cum = 0.0
-    rows = []
-    for n, mass in enumerate(table.masses):
-        cum += float(mass)
-        if with_pmf_column:
-            rows.append([n, float(mass), cum])
-        else:
-            rows.append([n, cum])
+    cum = table.cdf_values.tolist()
     if with_pmf_column:
+        rows = [[n, m, c] for n, (m, c) in enumerate(zip(table.masses.tolist(), cum))]
         _emit_table(args.format, "pmf", ["n", "pmf", "cdf"], rows)
     else:
-        _emit_table(args.format, "cdf", ["n", "cdf"], rows)
+        _emit_table(args.format, "cdf", ["n", "cdf"], [[n, c] for n, c in enumerate(cum)])
     if not table.tail_bound_met:
         print(
             f"warning: tail mass {_fmt(table.tail_mass)} still exceeds bound "

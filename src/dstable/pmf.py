@@ -58,9 +58,11 @@ _RENORM_FACTOR = 2.0**-512
 class PmfTable:
     """Truncated PMF with tracked tail mass.
 
-    ``masses[n]`` is Pr(X = n) for n = 0..len-1; ``tail_mass`` is the honest
-    remainder 1 - sum(masses). ``tail_bound_met`` records whether the
-    requested bound was actually reached before truncation.
+    ``masses[n]`` is Pr(X = n) for n = 0..len-1; ``cdf_values[n]`` is
+    Pr(X <= n), the masses added left to right (both arrays are read-only).
+    ``tail_mass`` is the honest remainder 1 - sum(masses).
+    ``tail_bound_met`` records whether the requested bound was actually
+    reached before truncation.
     """
 
     masses: np.ndarray
@@ -68,7 +70,7 @@ class PmfTable:
     tail_bound: float = DEFAULT_TAIL_BOUND
     tail_mass: float = field(init=False)
     tail_bound_met: bool = field(init=False)
-    _cum: np.ndarray = field(init=False, repr=False, compare=False)
+    cdf_values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         masses = np.asarray(self.masses, dtype=np.float64)
@@ -81,7 +83,7 @@ class PmfTable:
         cum = np.cumsum(masses)
         cum.setflags(write=False)
         object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "_cum", cum)
+        object.__setattr__(self, "cdf_values", cum)
         tail = max(0.0, 1.0 - float(cum[-1]))
         object.__setattr__(self, "tail_mass", tail)
         object.__setattr__(self, "tail_bound_met", tail <= self.tail_bound)
@@ -285,7 +287,7 @@ def cdf(table: PmfTable, n: int) -> float:
         raise IndexBeyondTable(
             f"index {n} beyond table of length {len(table)}; extend the table"
         )
-    return float(table._cum[n])
+    return float(table.cdf_values[n])
 
 
 def quantile(table: PmfTable, q: float) -> int:
@@ -298,7 +300,7 @@ def quantile(table: PmfTable, q: float) -> int:
             f"q = {q} falls in the uncomputed tail (covered mass "
             f"{1.0 - table.tail_mass}); extend the table"
         )
-    return int(np.searchsorted(table._cum, q, side="left"))
+    return int(np.searchsorted(table.cdf_values, q, side="left"))
 
 
 def moments(p: DSParams) -> MomentReport:

@@ -7,10 +7,16 @@ table fall back to exact inversion of the closed-form survival function
 (the tables a doubling-only scheme would need for small alpha are
 astronomically large). Poisson and binomial primitives are delegated to
 numpy's Generator (transformed rejection / BTPE: O(1) at large rates).
+
+``sample_ds(p, rng, size=n)`` draws n variates at once: one Poisson array of
+jump counts, one uniform array looked up in the same table, and per-variate
+totals as differences of a cumulative sum. Variates that could pass 2^62 are
+kept as exact Python ints in an object array.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -40,6 +46,12 @@ _MASK64 = (1 << 64) - 1
 
 _TABLE_INIT = 64
 _TABLE_CAP = 1 << 16
+# broad-Sibuya laws whose inverse-CDF tables are kept, least recently used first out
+_TABLE_CACHE_SIZE = 32
+# uniforms drawn per pass of the batch sampler; bounds its memory at large lam
+_JUMP_BATCH = 1 << 20
+# beyond this, lgamma(n+1-a) - lgamma(n+1) cancels; use its asymptotic series
+_ASYMPTOTIC_N = 10**6
 
 # numpy's binomial takes int64 trials; beyond that use the normal limit,
 # whose error is far below double resolution at such counts.
@@ -106,12 +118,33 @@ class _BsibTable:
     def _rebuild(self, size: int) -> None:
         self.cum = np.cumsum(bsib_pmf_array(self.params, size)[1:])
 
-    def draw(self, u: float) -> int:
+    def _grow_to(self, u: float) -> None:
         while u > self.cum[-1] and self.cum.size < _TABLE_CAP:
             self._rebuild(min(2 * self.cum.size, _TABLE_CAP))
+
+    def draw(self, u: float) -> int:
+        if u > self.cum[-1]:
+            self._grow_to(u)
         if u <= self.cum[-1]:
             return int(np.searchsorted(self.cum, u, side="right")) + 1
         return self._tail_quantile(u)
+
+    def draw_array(self, u: np.ndarray) -> np.ndarray:
+        """Jumps for an array of uniforms, each as :meth:`draw` gives it.
+
+        int64, unless the closed-form tail gives values large enough that a
+        sum of the jumps could pass 2^62 - 1; then an object array of ints.
+        """
+        if u.size:
+            self._grow_to(float(u.max()))
+        jumps = np.searchsorted(self.cum, u, side="right") + 1
+        beyond = np.flatnonzero(u > self.cum[-1])
+        if beyond.size:
+            tail = [self._tail_quantile(float(u[i])) for i in beyond]
+            if sum(tail) > _BINOMIAL_EXACT_MAX - _TABLE_CAP * u.size:
+                jumps = jumps.astype(object)
+            jumps[beyond] = tail
+        return jumps
 
     def _tail_quantile(self, u: float) -> int:
         # smallest n with S(n) <= 1-u, from the closed-form survival:
@@ -124,9 +157,14 @@ class _BsibTable:
             return max(2, math.ceil(rho / target))
         log_target = math.log(target)
         const = math.log(abs(1.0 - rho)) - math.lgamma(1.0 - alpha)
+        series = 0.5 * alpha * (alpha - 1.0)
 
         def log_survival(n: int) -> float:
-            return const + math.lgamma(n + 1.0 - alpha) - math.lgamma(n + 1.0)
+            if n < _ASYMPTOTIC_N:
+                return const + math.lgamma(n + 1.0 - alpha) - math.lgamma(n + 1.0)
+            # -a log n + a(a-1)/(2n) + O(n^-2); math.log takes ints past the float range
+            log_n = math.log(n)
+            return const - alpha * log_n + series * math.exp(-log_n)
 
         lo = int(self.cum.size)
         if log_survival(lo) <= log_target:
@@ -144,20 +182,29 @@ class _BsibTable:
         return hi
 
 
-_bsib_tables: dict[tuple[float, float], _BsibTable] = {}
+# keyed on the two floats: hashing them costs half of hashing a BSibParams,
+# and the scalar sampler looks a table up once per jump
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _bsib_table(alpha: float, rho: float) -> _BsibTable:
+    return _BsibTable(BSibParams(alpha, rho))
 
 
 def sample_bsib(b: BSibParams, rng: RngStream) -> int:
     """One broad-Sibuya variate (support {1, 2, ...}) by inverse CDF."""
-    key = (b.alpha, b.rho)
-    table = _bsib_tables.get(key)
-    if table is None:
-        table = _bsib_tables[key] = _BsibTable(b)
-    return table.draw(rng.random())
+    return _bsib_table(b.alpha, b.rho).draw(rng.random())
 
 
-def sample_ds(p: DSParams, rng: RngStream) -> int:
-    """One DS variate: Poisson count of broad-Sibuya jumps."""
+def sample_ds(p: DSParams, rng: RngStream, size: int | None = None) -> int | np.ndarray:
+    """DS variates: a Poisson count of broad-Sibuya jumps each.
+
+    Without size, one variate as an int. With size=n, an array of n: int64,
+    or an object array of exact ints when the heavy tail could pass 2^62.
+    size=1 consumes the stream exactly as one call without size does, but
+    n > 1 does not match n such calls: the array form draws all n jump
+    counts before any jump.
+    """
+    if size is not None:
+        return _sample_ds_array(p, rng, size)
     if p.gamma == 0.0:
         return sample_poisson(p.delta, rng)
     c = ds_to_compound(p)
@@ -168,11 +215,46 @@ def sample_ds(p: DSParams, rng: RngStream) -> int:
     return total
 
 
-def thin(x: int, a: float, rng: RngStream) -> int:
-    """Binomial thinning a o x: keep each of x unit counts with probability a."""
+def _sample_ds_array(p: DSParams, rng: RngStream, size: int) -> np.ndarray:
+    size = int(size)
+    if size < 0:
+        raise DomainError(f"size must be >= 0, got {size}")
+    gen = rng._gen
+    if p.gamma == 0.0:  # Poisson(delta); delta = 0 gives zeros and draws nothing
+        return gen.poisson(p.delta, size)
+    c = ds_to_compound(p)
+    table = _bsib_table(c.summand.alpha, c.summand.rho)
+    counts = gen.poisson(c.lam, size)
+    bounds = np.zeros(size + 1, dtype=np.int64)  # variate i owns jumps bounds[i]:bounds[i+1]
+    np.cumsum(counts, out=bounds[1:])
+    parts = [counts[:0]]  # empty int64, so size = 0 concatenates too
+    lo = 0
+    while lo < size:
+        # the whole variates whose jumps fit one pass, and at least one
+        fit = int(np.searchsorted(bounds, bounds[lo] + _JUMP_BATCH, side="right")) - 1
+        hi = max(lo + 1, fit)
+        jumps = table.draw_array(gen.random(int(bounds[hi] - bounds[lo])))
+        sums = np.zeros(jumps.size + 1, dtype=jumps.dtype)
+        np.cumsum(jumps, out=sums[1:])
+        parts.append(np.diff(sums[bounds[lo : hi + 1] - bounds[lo]]))
+        lo = hi
+    return np.concatenate(parts)
+
+
+def thin(x: int | np.ndarray, a: float, rng: RngStream) -> int | np.ndarray:
+    """Binomial thinning a o x: keep each of x unit counts with probability a.
+
+    x is one count, or an array of counts (int64, or object holding ints).
+    Counts up to 2^62 - 1 are thinned exactly by numpy's binomial. Larger
+    counts take the normal limit N(xa, xa(1-a)), rounded and clipped to
+    [0, x], whose error is far below double resolution at such counts; it is
+    computed in integer arithmetic, so counts past the float range thin too.
+    """
     a = float(a)
     if not 0.0 <= a <= 1.0:
         raise DomainError(f"thinning fraction must lie in [0, 1], got {a}")
+    if isinstance(x, np.ndarray):
+        return _thin_array(x, a, rng)
     x = int(x)
     if x < 0:
         raise DomainError(f"cannot thin a negative count, got {x}")
@@ -182,10 +264,24 @@ def thin(x: int, a: float, rng: RngStream) -> int:
         return x
     if x <= _BINOMIAL_EXACT_MAX:
         return rng.binomial(x, a)
-    mean = x * a
-    sd = math.sqrt(x * a * (1.0 - a))
-    draw = int(round(mean + sd * rng.normal()))
+    # round(x a + sqrt(x a (1-a)) z) over the common denominator den * zd
+    num, den = a.as_integer_ratio()
+    zn, zd = rng.normal().as_integer_ratio()
+    scaled = x * num * zd + math.isqrt(x * num * (den - num)) * zn
+    draw = (2 * scaled + den * zd) // (2 * den * zd)
     return min(max(draw, 0), x)
+
+
+def _thin_array(x: np.ndarray, a: float, rng: RngStream) -> np.ndarray:
+    if x.dtype != object:
+        x = x.astype(np.int64, copy=False)
+    if x.size and x.min() < 0:
+        raise DomainError(f"cannot thin a negative count, got {x.min()}")
+    exact = x <= _BINOMIAL_EXACT_MAX
+    out = x.copy()
+    out[exact] = rng._gen.binomial(x[exact].astype(np.int64), a)
+    out[~exact] = [thin(v, a, rng) for v in x[~exact]]
+    return out
 
 
 def translate(x: int, m: float, rng: RngStream) -> int:
@@ -236,7 +332,7 @@ def pool_counts(
 def _support_cut(table: PmfTable, n_samples: int) -> int:
     # individual bins up to: 1-1e-6 coverage, but never past the point where
     # expected counts drop below ~5 (fine bins in a heavy tail inflate TV)
-    coverage_cut = int(np.searchsorted(table._cum, 1.0 - 1e-6, side="left"))
+    coverage_cut = int(np.searchsorted(table.cdf_values, 1.0 - 1e-6, side="left"))
     coverage_cut = min(coverage_cut, len(table) - 1)
     heavy = np.nonzero(n_samples * table.masses >= 5.0)[0]
     count_cut = int(heavy[-1]) if heavy.size else 0
@@ -257,7 +353,7 @@ def tv_against_table(
     cut = _support_cut(table, n_samples)
     clipped = np.minimum(np.asarray(values, dtype=np.int64), cut + 1)
     counts = np.bincount(np.maximum(clipped, 0), minlength=cut + 2).astype(np.float64)
-    target = np.append(table.masses[: cut + 1], 1.0 - float(table._cum[cut]))
+    target = np.append(table.masses[: cut + 1], 1.0 - float(table.cdf_values[cut]))
     empirical = counts / n_samples
     tv = 0.5 * float(np.sum(np.abs(empirical - target)))
     obs, exp = pool_counts(counts, n_samples * target)
@@ -294,11 +390,11 @@ def stability_experiment(
         table = ds_pmf(target_params, n_max=10_000, tail_bound=1e-6)
 
     frac2 = (1.0 - rho**p.alpha) ** (1.0 / p.alpha)
-    values = np.empty(n_samples, dtype=np.int64)
+    y1 = thin(sample_ds(p, rng, size=n_samples), rho, rng)
+    y2 = thin(sample_ds(p, rng, size=n_samples), frac2, rng)
     cut = _support_cut(table, n_samples)
-    for i in range(n_samples):
-        y = thin(sample_ds(p, rng), rho, rng) + thin(sample_ds(p, rng), frac2, rng)
-        values[i] = min(y, cut + 1)  # huge heavy-tail draws all land in the tail bin
+    # huge heavy-tail draws all land in the tail bin
+    values = np.minimum(y1 + y2, cut + 1).astype(np.int64)
     tv, chi2, bins_used = tv_against_table(values, table, n_samples)
     return ExperimentResult(
         n_samples=n_samples,

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -6,6 +7,9 @@ import pytest
 from dstable import DSParams
 
 sys.path.insert(0, str(Path(__file__).parent))  # make `oracles` importable
+# `python -m dstable` subprocesses import the package from the same source tree
+_SRC = str(Path(__file__).parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 # alpha in {0.3, 0.7, 1.0, 1.3, 2.0} with three valid (gamma, delta) pairs each
 PARAM_GRID = [

@@ -290,6 +290,16 @@ class TestTableQueries:
         table = make_table(DSParams(2.0, 1.0, 2.0), n_max=60)
         assert cdf(table, 1) == pytest.approx(math.exp(-1.0), rel=1e-13)
 
+    def test_cdf_values_running_sum(self, grid_params):
+        table = make_table(grid_params, n_max=300)
+        running, total = [], 0.0
+        for mass in table.masses:  # left to right, as the CLI's cdf column adds
+            total += float(mass)
+            running.append(total)
+        assert table.cdf_values.tolist() == running
+        with pytest.raises(ValueError):
+            table.cdf_values[0] = 0.5
+
     def test_cdf_beyond_table(self):
         table = make_table(DSParams(1.0, 0.0, 2.0), n_max=20)
         with pytest.raises(IndexBeyondTable):

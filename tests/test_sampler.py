@@ -1,7 +1,9 @@
 """Variate generation: determinism, distributional fidelity, operators."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,11 +21,18 @@ from dstable import (
     thin_params,
     translate,
 )
-from dstable.errors import DomainError
+from dstable.errors import DomainError, TailBoundUnreachable
 from dstable.pmf import bsib_pmf_array
-from dstable.sampler import pool_counts, tv_against_table
+from dstable.sampler import (
+    _TABLE_CACHE_SIZE,
+    _BsibTable,
+    _bsib_table,
+    pool_counts,
+    tv_against_table,
+)
 
 import oracles
+from conftest import PARAM_GRID
 
 
 class TestRngStream:
@@ -167,6 +176,113 @@ class TestSampleDS:
         assert all(sample_ds(grid_params, rng) >= 0 for _ in range(300))
 
 
+def _reference_tail_quantile(alpha: float, rho: float, target: float) -> int:
+    """Smallest n with S(n) <= target, solved in 400-digit arithmetic."""
+    with mpmath.workdps(400):
+        a, target = mpmath.mpf(alpha), mpmath.mpf(target)
+        const = mpmath.log(abs(1 - mpmath.mpf(rho))) - mpmath.log(abs(mpmath.gamma(1 - a)))
+
+        def excess(y):  # log S(e^y) - log target, decreasing in y
+            n = mpmath.exp(y)
+            return const + mpmath.loggamma(n + 1 - a) - mpmath.loggamma(n + 1) - mpmath.log(target)
+
+        lo = hi = (const - mpmath.log(target)) / a  # -a log n ~ log S
+        while excess(lo) < 0:
+            lo -= 1
+        while excess(hi) > 0:
+            hi += 1
+        for _ in range(80):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if excess(mid) > 0 else (lo, mid)
+        return int(mpmath.ceil(mpmath.exp(hi)))
+
+
+class TestBsibTail:
+    @pytest.mark.parametrize(
+        "alpha, rho", [(0.05, 0.0), (0.3, -0.2), (0.5, 0.0), (1.3, 2.0), (1.5, 1.2)]
+    )
+    @pytest.mark.parametrize("k", [20, 30, 40, 53])
+    def test_tail_quantile_against_mpmath(self, alpha, rho, k):
+        # 1 - u = 2^-k exactly; the answers run from ~1e3 to ~1e318
+        table = _BsibTable(BSibParams(alpha, rho))
+        got = table._tail_quantile(1.0 - 2.0**-k)
+        want = _reference_tail_quantile(alpha, rho, 2.0**-k)
+        assert want > table.cum.size
+        assert abs(got - want) <= 1 + want // 10**12, (got, want)
+
+    def test_table_cache_is_bounded(self):
+        rng = RngStream(21)
+        for i in range(1000):
+            sample_bsib(BSibParams(0.5, -0.999 + 0.001 * i), rng)
+        assert _bsib_table.cache_info().currsize <= _TABLE_CACHE_SIZE
+
+
+# the first 20 scalar draws, recorded before the array form existed
+PINNED_SCALAR_DRAWS = [
+    ((0.5, -1.0, 0.0), 2024, [1, 2, 0, 0, 1, 1, 3, 1, 1, 0, 26, 0, 290, 0, 0, 0, 13, 1, 1, 0]),
+    ((1.3, 1.0, 2.0), 2025, [8, 0, 0, 2, 0, 0, 2, 0, 0, 2, 0, 1, 6, 2, 2, 5, 5, 1, 2, 13]),
+    ((2.0, 1.0, 3.0), 2026, [1, 2, 3, 6, 1, 2, 1, 7, 3, 3, 4, 2, 3, 1, 3, 4, 2, 5, 10, 0]),
+]
+
+
+class TestSampleDSArray:
+    @pytest.mark.parametrize("raw, seed, draws", PINNED_SCALAR_DRAWS)
+    def test_scalar_stream_pinned(self, raw, seed, draws):
+        rng = RngStream(seed)
+        assert [sample_ds(DSParams(*raw), rng) for _ in range(20)] == draws
+
+    def test_size_one_matches_scalar_stream(self, grid_params):
+        scalar, batch = RngStream(22), RngStream(22)
+        for _ in range(500):
+            one = sample_ds(grid_params, batch, size=1)
+            assert one.shape == (1,)
+            assert int(one[0]) == sample_ds(grid_params, scalar)
+        assert scalar.random() == batch.random()
+
+    def test_shapes_and_degenerate(self):
+        rng = RngStream(23)
+        assert sample_ds(DSParams(1.3, 1.0, 2.0), rng, size=0).shape == (0,)
+        assert not sample_ds(DSParams(1.0, 0.0, 0.0), rng, size=50).any()
+        with pytest.raises(DomainError):
+            sample_ds(DSParams(1.3, 1.0, 2.0), rng, size=-1)
+
+    def test_passes_over_jumps_join_seamlessly(self, monkeypatch):
+        # lam = 20: most variates span several passes of 7 uniforms, some fit 2+ in one
+        p = DSParams(1.5, 1.0, 21.0)
+        whole = sample_ds(p, RngStream(28), size=300)
+        monkeypatch.setattr("dstable.sampler._JUMP_BATCH", 7)
+        assert np.array_equal(sample_ds(p, RngStream(28), size=300), whole)
+
+    def test_chi_square_fidelity(self):
+        n = 10**5
+        for i, (alpha, gamma, delta) in enumerate(PARAM_GRID):
+            p = DSParams(alpha, gamma, delta)
+            values = sample_ds(p, RngStream(7000 + i), size=n)
+            assert values.shape == (n,)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TailBoundUnreachable)
+                table = ds_pmf(p, n_max=2000, tail_bound=1e-9)
+            # heavy-tail draws past int64 (exact ints) all land in the tail bin
+            clipped = np.minimum(values, len(table)).astype(np.int64)
+            _, chi2, bins = tv_against_table(clipped, table, n)
+            pvalue = oracles.chi2_pvalue(chi2, bins - 1)
+            assert pvalue > 0.001, f"{p}: chi2 = {chi2:.1f}, p = {pvalue:.5f}"
+
+    def test_small_alpha_exact_ints(self):
+        rng = RngStream(24)
+        values = sample_ds(DSParams(0.05, -1.0, 0.0), rng, size=2000)
+        assert values.dtype == object
+        assert all(isinstance(v, int) and v >= 0 for v in values)
+        assert max(values) > 2**63
+        thinned = thin(values, 0.3, rng)
+        assert all(0 <= t <= v for t, v in zip(thinned, values))
+
+    def test_stability_experiment_small_alpha(self):
+        result = stability_experiment(DSParams(0.05, -1.0, 0.0), 0.3, 1000, RngStream(25))
+        assert result.mu == 0.0
+        assert oracles.chi2_pvalue(result.chi_square_stat, result.bins_used - 1) > 0.001
+
+
 class TestThin:
     def test_identity_and_zero(self):
         rng = RngStream(10)
@@ -195,6 +311,30 @@ class TestThin:
         draw = thin(x, 0.25, rng)
         assert 0 <= draw <= x
         assert abs(draw - 0.25 * x) < 10.0 * math.sqrt(x * 0.25 * 0.75)
+
+    def test_count_beyond_float_range(self):
+        rng = RngStream(12)
+        x = 10**400
+        draw = thin(x, 0.25, rng)
+        assert abs(draw - x // 4) < 10 * math.isqrt(x * 3 // 16)
+
+    def test_array_forms(self):
+        rng = RngStream(26)
+        x = np.array([0, 5, 100, 7])
+        assert np.array_equal(thin(x, 1.0, rng), x)
+        assert not thin(x, 0.0, rng).any()
+        kept = thin(np.full(10**5, 100), 0.3, rng)
+        assert kept.dtype == np.int64 and abs(kept.mean() - 30.0) < 0.2
+        with pytest.raises(DomainError):
+            thin(np.array([3, -1]), 0.5, rng)
+
+    def test_object_array_mixes_exact_and_normal_limit(self):
+        rng = RngStream(27)
+        x = np.array([10, 2**62 - 1, 2**62, 10**30], dtype=object)
+        out = thin(x, 0.5, rng)
+        assert out.dtype == object
+        assert all(0 <= t <= v for t, v in zip(out, x))
+        assert abs(out[3] - 5 * 10**29) < 10 * math.isqrt(10**30 // 4)
 
     def test_thinning_preserves_family(self):
         # histogram of a o X against the thinned parameter law
