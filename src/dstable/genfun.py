@@ -20,7 +20,7 @@ from .errors import (
     NotSelfDecomposableAtRho,
     ParameterError,
 )
-from .params import BSibParams, DSParams
+from .params import BSibParams, DSParams, _snap_into
 
 __all__ = [
     "pgf",
@@ -154,9 +154,7 @@ def convolve_params(p1: DSParams, p2: DSParams) -> DSParams:
     gamma = p1.gamma + p2.gamma
     delta = p1.delta + p2.delta
     # exact in real arithmetic; guard the sum against an ulp of float dust
-    bound = p1.alpha * gamma
-    if bound > delta >= bound - 4.0 * math.ulp(abs(bound) + 1.0):
-        delta = bound
+    delta = _snap_into(delta, p1.alpha * gamma, lower=True)
     return DSParams(p1.alpha, gamma, delta)
 
 

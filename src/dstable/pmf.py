@@ -53,6 +53,12 @@ _INVERSION_DUST = 1e-10
 _RENORM_LIMIT = 2.0**512
 _RENORM_FACTOR = 2.0**-512
 
+# ds_pmf computes entries in leaves of this length, each by a direct dot
+# product over its own leaf; pushes from finished blocks supply the rest.
+_LEAF = 64
+# Pushes from blocks at least this long use the FFT, shorter ones np.convolve.
+_FFT_MIN = 512
+
 
 @dataclass(frozen=True)
 class PmfTable:
@@ -152,6 +158,34 @@ def _params_tag(p: DSParams) -> str:
     return f"DS(alpha={p.alpha:g}, gamma={p.gamma:g}, delta={p.delta:g})"
 
 
+def _push(
+    scaled: np.ndarray,
+    weights: np.ndarray,
+    support: int,
+    e: int,
+    h: int,
+    spectra: dict[int, np.ndarray],
+) -> None:
+    """Add the block f(e-h .. e-1)'s share of f(e .. e+h-1) to the pending sums.
+
+    With h the lowest set bit of e, every pair of entries i < n in different
+    leaves falls in exactly one such push. Rates past ``support`` are zero, so
+    a finite-support law pushes a short block into few entries.
+    """
+    top = min(e + h, scaled.size, e + support - 1)
+    lo = max(e - h, e - support + 1)
+    if e - lo >= _FFT_MIN:
+        # cyclic convolution of length 2h: outputs h..2h-1 take no wrapped terms
+        size = 2 * h
+        spectrum = spectra.get(h)
+        if spectrum is None:
+            spectrum = spectra[h] = np.fft.rfft(weights[:size], size)
+        block = np.fft.rfft(scaled[e - h : e], size)
+        scaled[e:top] += np.fft.irfft(block * spectrum, size)[h : h + top - e]
+    else:
+        scaled[e:top] += np.convolve(weights[1 : top - lo], scaled[lo:e], "valid")
+
+
 def ds_pmf(
     p: DSParams,
     n_max: int = DEFAULT_N_MAX,
@@ -160,7 +194,10 @@ def ds_pmf(
     """DS masses f(0..N) by the compound-Poisson recursion.
 
     Runs f(n) = (lam/n) * sum_k k p_k f(n-k) in the linear domain; every term
-    is nonnegative so there is no cancellation. A shared power-of-two exponent
+    is nonnegative so there is no cancellation. The sum is an online
+    convolution, evaluated by relaxed multiplication in O(n log^2 n): direct
+    dot products within leaves of _LEAF entries, block pushes between them
+    (see _push). A shared power-of-two exponent
     keeps the recursion alive when f(0) = e^{-lam} underflows (lam over ~700).
     Stops at cumulative mass 1 - tail_bound or at n_max, whichever comes
     first; if n_max wins, a TailBoundUnreachable warning is issued and the
@@ -187,30 +224,48 @@ def ds_pmf(
         exp2 = math.floor(t)
         scaled0 = 2.0 ** (t - exp2)
 
+    # scaled[n] holds f(n) once computed; before that, the pending share of
+    # its sum that earlier blocks pushed forward
     cap = min(n_max, 1024) + 1
     jump = bsib_pmf_array(c.summand, cap - 1)
     weights = lam * np.arange(cap, dtype=np.float64) * jump
     scaled = np.zeros(cap)
     scaled[0] = scaled0
-    cum = [math.ldexp(scaled0, exp2)]
+    cum = math.ldexp(scaled0, exp2)
+    support = 0  # length of the rates without trailing zeros; 0 until a push needs it
+    spectra: dict[int, np.ndarray] = {}
+    ldexp = math.ldexp
 
-    n = 0
-    while n < n_max and cum[-1] < target:
+    n = leaf = 0
+    while n < n_max and cum < target:
         n += 1
-        if n >= cap:
-            cap = min(n_max, 2 * (cap - 1)) + 1
-            jump = bsib_pmf_array(c.summand, cap - 1)
-            weights = lam * np.arange(cap, dtype=np.float64) * jump
-            grown = np.zeros(cap)
-            grown[:n] = scaled[:n]
-            scaled = grown
-        value = float(np.dot(weights[n:0:-1], scaled[:n])) / n
+        j = n - leaf
+        if j == _LEAF:
+            leaf, j = n, 0
+            h = n & -n
+            if cap <= n_max and n + h > cap:
+                cap = min(n_max, 2 * (cap - 1)) + 1
+                jump = bsib_pmf_array(c.summand, cap - 1)
+                weights = lam * np.arange(cap, dtype=np.float64) * jump
+                scaled = np.concatenate((scaled, np.zeros(cap - scaled.size)))
+                support = 0
+            if not support:
+                support = np.trim_zeros(weights, "b").size
+                # a leaf's second entry adds its pending sum (the older terms)
+                # first and w1 f(n-1) last, in the order of the direct dot
+                # product, so Hermite masses keep its digits
+                second = np.array((1.0, weights[1]))
+            _push(scaled, weights, support, n, h, spectra)
+        if j == 1 and leaf:
+            value = float(second.dot((scaled[n], scaled[leaf]))) / n
+        else:
+            value = float(weights[j:0:-1].dot(scaled[leaf:n]) + scaled[n]) / n
         if value > _RENORM_LIMIT:
-            scaled[:n] *= _RENORM_FACTOR
+            scaled *= _RENORM_FACTOR
             value *= _RENORM_FACTOR
             exp2 += 512
         scaled[n] = value
-        cum.append(cum[-1] + math.ldexp(value, exp2))
+        cum += ldexp(value, exp2)
 
     masses = np.ldexp(scaled[: n + 1], exp2)
     small_negative = (masses < 0.0) & (masses > -_NEGATIVE_DUST)
@@ -334,29 +389,18 @@ def mode_scan(table: PmfTable, plateau_tol: float = 1e-12) -> ModeReport:
     """
     m = table.masses
     size = m.size
-
-    def same(a: float, b: float) -> bool:
-        return abs(a - b) <= plateau_tol * max(a, b)
-
-    runs: list[tuple[int, int]] = []
-    start = 0
-    for i in range(1, size):
-        if not same(float(m[i - 1]), float(m[i])):
-            runs.append((start, i - 1))
-            start = i
-    runs.append((start, size - 1))
-
-    modes: list[tuple[int, int]] = []
-    for idx, (lo, hi) in enumerate(runs):
-        if m[lo] <= 0.0:
-            continue
-        left_ok = idx == 0 or m[runs[idx - 1][1]] < m[lo]
-        right_ok = idx == len(runs) - 1 or m[runs[idx + 1][0]] < m[hi]
-        if left_ok and right_ok:
-            modes.append((lo, hi))
-
+    left, right = m[:-1], m[1:]
+    # run i spans starts[i]..ends[i]; adjacent masses within plateau_tol share a run
+    same = np.abs(left - right) <= plateau_tol * np.maximum(left, right)
+    breaks = np.flatnonzero(~same) + 1
+    starts = np.concatenate(([0], breaks))
+    ends = np.concatenate((breaks - 1, [size - 1]))
+    peak = m[starts] > 0.0
+    peak[1:] &= m[breaks - 1] < m[breaks]
+    peak[:-1] &= m[breaks] < m[breaks - 1]
+    modes = tuple(zip(starts[peak].tolist(), ends[peak].tolist()))
     return ModeReport(
-        modes=tuple(modes),
+        modes=modes,
         unimodal=len(modes) == 1,
         scanned_to=size - 1,
         tail_mass_at_scan=table.tail_mass,

@@ -154,7 +154,7 @@ class _BsibTable:
         if alpha == 2.0:  # support is {1, 2}; only float dust lands here
             return 2
         if alpha == 1.0:
-            return max(2, math.ceil(rho / target))
+            return max(1, math.ceil(rho / target))
         log_target = math.log(target)
         const = math.log(abs(1.0 - rho)) - math.lgamma(1.0 - alpha)
         series = 0.5 * alpha * (alpha - 1.0)
@@ -166,10 +166,8 @@ class _BsibTable:
             log_n = math.log(n)
             return const - alpha * log_n + series * math.exp(-log_n)
 
-        lo = int(self.cum.size)
-        if log_survival(lo) <= log_target:
-            return lo + 1
-        hi = 2 * lo
+        # bisect on S(lo) > target >= S(hi), with S(0) = 1
+        lo, hi = 0, int(self.cum.size)
         while log_survival(hi) > log_target:
             lo = hi
             hi *= 2

@@ -2,13 +2,19 @@
 
 Nothing here goes through the package's recursion or inversion code paths:
 Poisson masses come from scipy, Hermite masses from a direct two-stream
-convolution sum, and Sibuya masses from exact rational arithmetic.
+convolution sum, and Sibuya masses from exact rational arithmetic. The
+direct O(n^2) compound recursion and the loop form of the mode scan are the
+references for their faster forms in the package.
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
 from scipy import stats
+
+from dstable.params import DSParams, ds_to_compound
+from dstable.pmf import ModeReport, PmfTable, bsib_pmf_array
 
 
 def poisson_pmf(lam: float, n: int) -> float:
@@ -50,3 +56,84 @@ def bsib_pmf_exact(alpha: Fraction, rho: Fraction, n: int) -> Fraction:
 
 def chi2_pvalue(stat: float, dof: int) -> float:
     return float(stats.chi2.sf(stat, dof))
+
+
+def direct_ds_pmf(p: DSParams, n_max: int, tail_bound: float) -> np.ndarray:
+    """DS masses by the direct compound recursion, one full dot product per entry.
+
+    The same stopping rule, rescaling and dust clearing as ``ds_pmf``.
+    """
+    if p.gamma == 0.0 and p.delta == 0.0:
+        return np.array([1.0])
+    c = ds_to_compound(p)
+    lam = c.lam
+    target = 1.0 - tail_bound
+
+    if lam < 700.0:
+        scaled0, exp2 = math.exp(-lam), 0
+    else:
+        t = -lam / math.log(2.0)
+        exp2 = math.floor(t)
+        scaled0 = 2.0 ** (t - exp2)
+
+    cap = min(n_max, 1024) + 1
+    jump = bsib_pmf_array(c.summand, cap - 1)
+    weights = lam * np.arange(cap, dtype=np.float64) * jump
+    scaled = np.zeros(cap)
+    scaled[0] = scaled0
+    cum = [math.ldexp(scaled0, exp2)]
+
+    n = 0
+    while n < n_max and cum[-1] < target:
+        n += 1
+        if n >= cap:
+            cap = min(n_max, 2 * (cap - 1)) + 1
+            jump = bsib_pmf_array(c.summand, cap - 1)
+            weights = lam * np.arange(cap, dtype=np.float64) * jump
+            grown = np.zeros(cap)
+            grown[:n] = scaled[:n]
+            scaled = grown
+        value = float(np.dot(weights[n:0:-1], scaled[:n])) / n
+        if value > 2.0**512:
+            scaled[:n] *= 2.0**-512
+            value *= 2.0**-512
+            exp2 += 512
+        scaled[n] = value
+        cum.append(cum[-1] + math.ldexp(value, exp2))
+
+    masses = np.ldexp(scaled[: n + 1], exp2)
+    masses[(masses < 0.0) & (masses > -1e-15)] = 0.0
+    return masses
+
+
+def loop_mode_scan(table: PmfTable, plateau_tol: float = 1e-12) -> ModeReport:
+    """Plateau intervals of local maxima, by a Python loop over the masses."""
+    m = table.masses
+    size = m.size
+
+    def same(a: float, b: float) -> bool:
+        return abs(a - b) <= plateau_tol * max(a, b)
+
+    runs: list[tuple[int, int]] = []
+    start = 0
+    for i in range(1, size):
+        if not same(float(m[i - 1]), float(m[i])):
+            runs.append((start, i - 1))
+            start = i
+    runs.append((start, size - 1))
+
+    modes: list[tuple[int, int]] = []
+    for idx, (lo, hi) in enumerate(runs):
+        if m[lo] <= 0.0:
+            continue
+        left_ok = idx == 0 or m[runs[idx - 1][1]] < m[lo]
+        right_ok = idx == len(runs) - 1 or m[runs[idx + 1][0]] < m[hi]
+        if left_ok and right_ok:
+            modes.append((lo, hi))
+
+    return ModeReport(
+        modes=tuple(modes),
+        unimodal=len(modes) == 1,
+        scanned_to=size - 1,
+        tail_mass_at_scan=table.tail_mass,
+    )

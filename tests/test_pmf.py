@@ -1,6 +1,8 @@
 """PMF evaluation: closed forms, the compound recursion, and the inversion oracle."""
 
 import math
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from dstable import (
     BSibParams,
     CompoundRep,
     DSParams,
+    PmfTable,
     bsib_pmf,
     cdf,
     classify,
@@ -34,6 +37,7 @@ from dstable.errors import (
 )
 
 import oracles
+from conftest import PARAM_GRID
 
 
 def make_table(p, n_max=400, tail_bound=1e-12):
@@ -220,6 +224,72 @@ class TestDsPmfRecursion:
         assert table.tail_mass == pytest.approx(1.0 - math.exp(-2.0), rel=1e-14)
 
 
+# Hermite and Poisson laws whose tables span many leaves; the last two
+# take the power-of-two rescaling path
+FINITE_SUPPORT = [
+    (2.0, 1.0, 2.0), (2.0, 1.0, 3.0), (2.0, 0.5, 4.0), (2.0, 10.0, 30.0), (2.0, 5.0, 100.0),
+    (1.0, 0.0, 2.0), (1.0, 0.0, 5.0), (1.0, 0.0, 100.0), (2.0, 1.0, 1000.0), (1.0, 0.0, 800.0),
+]
+# heavy tails: alpha near 0, below and above 1, and compound rates of 1000 and 2000
+HEAVY_TAILS = [(0.05, -1.0, 0.0), (0.5, -1.0, 0.0), (1.3, 1.0, 2.0), (1.5, 1.0, 3.0),
+               (1.5, 1.0, 2001.0)]
+
+
+class TestRelaxedRecursion:
+    """ds_pmf against the direct O(n^2) recursion it replaces."""
+
+    @pytest.mark.parametrize("raw", FINITE_SUPPORT)
+    @pytest.mark.parametrize("tail_bound", [0.0, 1e-12])
+    def test_finite_support_bit_identical(self, raw, tail_bound):
+        p = DSParams(*raw)
+        table = make_table(p, n_max=3000, tail_bound=tail_bound)
+        direct = oracles.direct_ds_pmf(p, 3000, tail_bound)
+        assert table.masses.tolist() == direct.tolist()
+
+    @pytest.mark.parametrize("raw", PARAM_GRID + [(1.5, 1.0, 1000.0)])
+    def test_stop_index_matches_direct(self, raw):
+        p = DSParams(*raw)
+        for tail_bound in (1e-12, 1e-9, 1e-6):
+            table = make_table(p, n_max=3000, tail_bound=tail_bound)
+            assert len(table) == oracles.direct_ds_pmf(p, 3000, tail_bound).size
+
+    @pytest.mark.parametrize("raw", HEAVY_TAILS)
+    def test_heavy_tail_accuracy(self, raw):
+        p = DSParams(*raw)
+        got = make_table(p, n_max=20000).masses
+        want = oracles.direct_ds_pmf(p, 20000, 1e-12)
+        assert got.size == want.size
+        diff = np.abs(got - want)
+        assert diff.max() <= 1e-15
+        big = want > 1e-300
+        assert np.max(diff[big] / want[big]) <= 1e-7
+
+    @pytest.mark.parametrize("raw", [(1.5, 1.0, 1000.0), (1.5, 1.0, 2001.0)])
+    def test_left_flank_relative_accuracy(self, raw):
+        # lam = 999 and 2000: the masses climb from e^-lam, and each pushed
+        # block is smaller than the entries it feeds
+        p = DSParams(*raw)
+        got = make_table(p, n_max=4000).masses
+        want = oracles.direct_ds_pmf(p, 4000, 1e-12)
+        mode = int(np.argmax(want))
+        flank = slice(0, mode + 1)
+        big = want[flank] > 1e-300
+        assert big.sum() > 100
+        rel = np.abs(got[flank] - want[flank])[big] / want[flank][big]
+        assert rel.max() <= 1e-13
+
+
+def test_library_does_not_import_scipy():
+    # scipy is a test extra; importing it would slow every CLI start
+    code = (
+        "import sys, warnings; warnings.simplefilter('ignore'); import dstable; "
+        "dstable.ds_pmf(dstable.DSParams(0.5, -1, 0), 5000); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 class TestInversionOracle:
     def test_poisson(self):
         table = ds_pmf_inversion(DSParams(1.0, 0.0, 2.0), 20, 128)
@@ -398,6 +468,26 @@ class TestModeScan:
         report = mode_scan(ds_pmf(DSParams(1.0, 0.0, 0.0)))
         assert report.modes == ((0, 0),)
         assert report.unimodal
+
+    def test_matches_loop_on_planted_plateaus(self):
+        rng = np.random.default_rng(31)
+        tol = 1e-12
+        levels = np.array([0.0, 1e-300, 1e-3, 2e-3, 5e-3, 0.25])
+        # factors put neighbours just inside, on and just past plateau_tol
+        nudges = np.array([1.0, 1.0 + tol, 1.0 - tol, 1.0 + 2 * tol, 1.0 + 0.5 * tol])
+        for _ in range(2000):
+            runs = rng.integers(1, 6, size=rng.integers(1, 12))
+            masses = np.repeat(rng.choice(levels, size=runs.size), runs)
+            masses *= rng.choice(nudges, size=masses.size)
+            table = PmfTable(masses, "planted")
+            for plateau_tol in (tol, 0.0):
+                got = mode_scan(table, plateau_tol)
+                assert got == oracles.loop_mode_scan(table, plateau_tol)
+                assert all(type(i) is int for mode in got.modes for i in mode)
+
+    def test_matches_loop_on_tables(self, grid_params):
+        table = make_table(grid_params, n_max=3000)
+        assert mode_scan(table) == oracles.loop_mode_scan(table)
 
     def test_scan_honesty_fields(self):
         table = make_table(DSParams(0.5, -1.0, 0.0), n_max=500, tail_bound=1e-9)

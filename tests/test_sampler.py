@@ -210,6 +210,23 @@ class TestBsibTail:
         assert want > table.cum.size
         assert abs(got - want) <= 1 + want // 10**12, (got, want)
 
+    @pytest.mark.parametrize(
+        "alpha, rho, target",
+        [(0.05, 0.0, 0.9), (0.3, -0.2, 0.5), (0.5, 0.0, 0.25), (1.3, 2.0, 2.0**-6),
+         (1.5, 1.2, 2.0**-10)],
+    )
+    def test_in_table_quantile_against_mpmath(self, alpha, rho, target):
+        # the answer lies inside the fresh 64-entry table
+        table = _BsibTable(BSibParams(alpha, rho))
+        want = _reference_tail_quantile(alpha, rho, target)
+        assert want <= table.cum.size
+        assert table._tail_quantile(1.0 - target) == want
+
+    @pytest.mark.parametrize("target, want", [(0.5, 1), (0.4, 2), (0.25, 2), (0.15, 4), (2.0**-20, 2**19)])
+    def test_alpha_one_quantile(self, target, want):
+        # S(n) = rho / n exactly; rho = 0.5
+        assert _BsibTable(BSibParams(1.0, 0.5))._tail_quantile(1.0 - target) == want
+
     def test_table_cache_is_bounded(self):
         rng = RngStream(21)
         for i in range(1000):
