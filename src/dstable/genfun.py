@@ -61,16 +61,24 @@ def pgf(p: DSParams, z: complex | float):
         w = 1.0 - z
         if w == 0.0:
             return complex(1.0)
-        if p.alpha == 1.0:
-            return cmath.exp((z - 1.0) * p.delta + p.gamma * w * cmath.log(w))
-        return cmath.exp((z - 1.0) * p.delta + p.gamma * w**p.alpha)
+        return _pgf_from_one(p, w)
     z = float(z)
     if z >= 1.0:  # real dust in (1, 1+tol] collapses to the z = 1 convention
         return 1.0
-    w = 1.0 - z
+    return _pgf_from_one(p, 1.0 - z)
+
+
+def _pgf_from_one(p: DSParams, w: complex | float):
+    """G(1 - w) for w != 0 with Re(w) >= 0, taking the distance w from 1.
+
+    A w far below the spacing of doubles near 1 keeps its digits here, where
+    1 - w would round to 1. For w = 1.0 - z, -w * delta is (z - 1) * delta
+    exactly, so pgf's digits do not depend on the route.
+    """
+    lib = cmath if isinstance(w, complex) else math
     if p.alpha == 1.0:
-        return math.exp((z - 1.0) * p.delta + p.gamma * w * math.log(w))
-    return math.exp((z - 1.0) * p.delta + p.gamma * w**p.alpha)
+        return lib.exp(-w * p.delta + p.gamma * w * lib.log(w))
+    return lib.exp(-w * p.delta + p.gamma * w**p.alpha)
 
 
 def fcgf(p: DSParams, t: float) -> float:
@@ -195,15 +203,19 @@ def stability_residual(
     zgrid = tuple(float(z) for z in zgrid)
     if not zgrid:
         raise DomainError("z grid must be nonempty")
-    mu_used = stability_mu(p, rho) if mu is None else float(mu)
     rho = float(rho)
+    if not 0.0 < rho < 1.0:
+        raise DomainError(f"rho must lie in (0, 1), got {rho}")
+    mu_used = stability_mu(p, rho) if mu is None else float(mu)
+    # below alpha ~ 0.1 frac2 can fall under 1e-8, where 1 - frac2 (1-z)
+    # rounds to 1: the right side takes the distances from 1 directly
     frac2 = (1.0 - rho**p.alpha) ** (1.0 / p.alpha)
     worst = 0.0
     for z in zgrid:
         if not 0.0 <= z < 1.0:
             raise DomainError(f"z grid values must lie in [0, 1), got {z}")
         lhs = pgf(p, z) * math.exp(mu_used * (z - 1.0))
-        rhs = pgf(p, 1.0 - rho * (1.0 - z)) * pgf(p, 1.0 - frac2 * (1.0 - z))
+        rhs = _pgf_from_one(p, rho * (1.0 - z)) * _pgf_from_one(p, frac2 * (1.0 - z))
         worst = max(worst, abs(lhs - rhs))
     return StabilityReport(rho=rho, mu=mu_used, max_residual=worst, grid=zgrid)
 

@@ -121,19 +121,7 @@ def bsib_pmf(b: BSibParams, n: int) -> float:
     n = int(n)
     if n < 1:
         raise DomainError(f"broad-Sibuya support excludes {n}; need n >= 1")
-    alpha, rho = b.alpha, b.rho
-    if n == 1:
-        return 1.0 - rho if alpha == 1.0 else rho + (1.0 - rho) * alpha
-    if alpha == 1.0:
-        return rho / (n * (n - 1))
-    if alpha == 2.0 and n >= 3:
-        return 0.0
-    # ratio recurrence p_{k+1}/p_k = (k - alpha)/(k + 1) from the k = 2 term;
-    # keeps signs exact and avoids gamma-function overflow
-    p = (1.0 - rho) * alpha * (1.0 - alpha) / 2.0
-    for k in range(2, n):
-        p *= (k - alpha) / (k + 1.0)
-    return p
+    return float(bsib_pmf_array(b, n)[n])
 
 
 def bsib_pmf_array(b: BSibParams, n_max: int) -> np.ndarray:
@@ -148,9 +136,16 @@ def bsib_pmf_array(b: BSibParams, n_max: int) -> np.ndarray:
     if n_max >= 2:
         p[2] = rho / 2.0 if alpha == 1.0 else (1.0 - rho) * alpha * (1.0 - alpha) / 2.0
     if n_max >= 3:
-        k = np.arange(2.0, n_max)
-        ratios = (k - 1.0) / (k + 1.0) if alpha == 1.0 else (k - alpha) / (k + 1.0)
-        p[3:] = p[2] * np.cumprod(ratios)
+        # ratios (k - alpha)/(k + 1) for k = 2..n_max-1, formed in place: the
+        # sampler grows tables to 65536 entries, where temporaries set the
+        # process's peak memory
+        ratios = np.arange(2.0, n_max)
+        numer = ratios - (1.0 if alpha == 1.0 else alpha)
+        ratios += 1.0
+        np.divide(numer, ratios, out=ratios)
+        del numer
+        np.cumprod(ratios, out=ratios)
+        np.multiply(ratios, p[2], out=p[3:])
     return p
 
 

@@ -26,7 +26,7 @@ from numpy.random import PCG64, Generator, SeedSequence
 
 from .errors import DomainError
 from .genfun import stability_mu, translate_params
-from .params import BSibParams, DSParams, ds_to_compound
+from .params import BSibParams, DSParams, classify, ds_to_compound
 from .pmf import PmfTable, bsib_pmf_array, ds_pmf
 
 __all__ = [
@@ -52,6 +52,17 @@ _TABLE_CACHE_SIZE = 32
 _JUMP_BATCH = 1 << 20
 # beyond this, lgamma(n+1-a) - lgamma(n+1) cancels; use its asymptotic series
 _ASYMPTOTIC_N = 10**6
+
+# goodness-of-fit bins stop where fewer than this many samples are expected
+_MIN_EXPECTED = 5.0
+# stability_experiment's reference table: its longest length and its
+# coverage; self-decomposable laws start short and grow by _REFERENCE_GROWTH
+_REFERENCE_N_MAX = 10_000
+_REFERENCE_TAIL = 1e-6
+_REFERENCE_START = 64
+_REFERENCE_GROWTH = 4
+# relative slack on the stopping comparisons, far above the masses' rounding
+_UNIMODAL_MARGIN = 1e-6
 
 # numpy's binomial takes int64 trials; beyond that use the normal limit,
 # whose error is far below double resolution at such counts.
@@ -116,7 +127,8 @@ class _BsibTable:
         self._rebuild(_TABLE_INIT)
 
     def _rebuild(self, size: int) -> None:
-        self.cum = np.cumsum(bsib_pmf_array(self.params, size)[1:])
+        masses = bsib_pmf_array(self.params, size)[1:]
+        self.cum = np.cumsum(masses, out=masses)
 
     def _grow_to(self, u: float) -> None:
         while u > self.cum[-1] and self.cum.size < _TABLE_CAP:
@@ -332,9 +344,35 @@ def _support_cut(table: PmfTable, n_samples: int) -> int:
     # expected counts drop below ~5 (fine bins in a heavy tail inflate TV)
     coverage_cut = int(np.searchsorted(table.cdf_values, 1.0 - 1e-6, side="left"))
     coverage_cut = min(coverage_cut, len(table) - 1)
-    heavy = np.nonzero(n_samples * table.masses >= 5.0)[0]
+    heavy = np.nonzero(n_samples * table.masses >= _MIN_EXPECTED)[0]
     count_cut = int(heavy[-1]) if heavy.size else 0
     return max(0, min(coverage_cut, count_cut))
+
+
+def _reference_table(target: DSParams, n_samples: int) -> PmfTable:
+    """The PMF table of target that stability_experiment bins, cut short.
+
+    A discretely self-decomposable law (its Levy rates k lam p_k never
+    increase) is unimodal (Steutel & van Harn, 1979). Once one of its masses
+    lies below both an earlier mass and the count threshold of _support_cut,
+    no later mass reaches that threshold, so the table up to there gives the
+    same _support_cut and the same binned masses as the full one. Such laws
+    grow n_max geometrically and stop there or at the coverage bound; other
+    laws take the full table at once.
+    """
+    n_max = _REFERENCE_START if classify(target).self_decomposable else _REFERENCE_N_MAX
+    below = (1.0 - _UNIMODAL_MARGIN) * _MIN_EXPECTED
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # heavy tails cannot meet 1e-6 coverage
+        while True:
+            table = ds_pmf(target, n_max=n_max, tail_bound=_REFERENCE_TAIL)
+            if table.tail_bound_met or n_max == _REFERENCE_N_MAX:
+                return table
+            m = table.masses
+            past_mode = m < (1.0 - _UNIMODAL_MARGIN) * np.maximum.accumulate(m)
+            if np.any(past_mode & (n_samples * m < below)):
+                return table
+            n_max = min(_REFERENCE_GROWTH * n_max, _REFERENCE_N_MAX)
 
 
 def tv_against_table(
@@ -373,6 +411,12 @@ def stability_experiment(
     measures the total variation distance of the empirical law against the
     PMF of p translated by the closed-form shift (or by mu_override, to
     demonstrate detection of a wrong shift).
+
+    The reference PMF is computed to coverage 1 - 1e-6 or 10_001 entries.
+    When the shifted law is discretely self-decomposable, hence unimodal
+    (Steutel & van Harn, 1979), the table stops once a mass past the mode
+    expects fewer than 5 samples: later masses cannot change the bins, so
+    the result is the one the full table gives.
     """
     rho = float(rho)
     if not 0.0 < rho < 1.0:
@@ -382,10 +426,7 @@ def stability_experiment(
         raise DomainError(f"need at least 1000 samples, got {n_samples}")
 
     mu = stability_mu(p, rho) if mu_override is None else float(mu_override)
-    target_params = translate_params(p, mu)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # heavy tails cannot meet 1e-6 coverage
-        table = ds_pmf(target_params, n_max=10_000, tail_bound=1e-6)
+    table = _reference_table(translate_params(p, mu), n_samples)
 
     frac2 = (1.0 - rho**p.alpha) ** (1.0 / p.alpha)
     y1 = thin(sample_ds(p, rng, size=n_samples), rho, rng)

@@ -271,6 +271,18 @@ class TestStability:
         with pytest.raises(DomainError):
             stability_residual(DSParams(2.0, 1.0, 4.0), 0.5, zgrid=[])
 
+    def test_small_alpha_residual(self):
+        # f = (1 - rho^a)^(1/a) is 3e-46..5e-20 here, so 1 - f (1-z) rounds to 1
+        p = DSParams(0.05, -1.0, 0.0)
+        for rho in RHO_GRID:
+            assert stability_residual(p, rho).max_residual <= 1e-12, rho
+
+    def test_rho_domain_with_explicit_mu(self):
+        p = DSParams(2.0, 1.0, 4.0)
+        for rho in (0.0, 1.0, -0.5, 3.0):
+            with pytest.raises(DomainError):
+                stability_residual(p, rho, mu=0.0)
+
 
 class TestSelfDecompRemainder:
     def test_example_valid(self):

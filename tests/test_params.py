@@ -15,6 +15,7 @@ from dstable import (
     ds_to_compound,
     ds_to_es,
     es_to_ds,
+    levy_weights,
     validate_bsib,
     validate_ds,
 )
@@ -285,3 +286,35 @@ class TestClassify:
             c = classify(p)
             assert c.strict
             assert c.self_decomposable
+
+
+def _rates_never_increase(p: DSParams) -> bool:
+    rates = np.arange(1, 65) * levy_weights(ds_to_compound(p), 64)
+    return bool(np.all(np.diff(rates) <= 0.0))
+
+
+class TestSelfDecomposablePremise:
+    """The flag is the Steutel-van Harn condition: k lam p_k never increases."""
+
+    @pytest.mark.parametrize("raw", PARAM_GRID, ids=str)
+    def test_grid(self, raw):
+        p = DSParams(*raw)
+        assert classify(p).self_decomposable == _rates_never_increase(p)
+
+    # The boundary is delta = alpha^2 gamma (2 gamma at alpha = 1). The step
+    # is one ulp of the larger of delta and lam, the scale at which the rates
+    # are rounded; a step below that can vanish in their rounding. Even this
+    # step is not always resolved: at (1.3, 7) and (1.7, 0.3) the rounded
+    # rates disagree with the flag on one side.
+    @pytest.mark.parametrize(
+        "alpha, gamma",
+        [(0.05, -1.0), (0.3, -1.0), (0.5, -1.0), (0.7, -2.0), (1.0, 1.0), (1.0, 0.5),
+         (1.3, 1.0), (1.5, 1.0), (1.9, 3.0), (2.0, 1.0)],
+    )
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_one_ulp_from_boundary(self, alpha, gamma, side):
+        bound = 2.0 * gamma if alpha == 1.0 else alpha * alpha * gamma
+        lam = bound if alpha == 1.0 else bound - gamma
+        p = DSParams(alpha, gamma, bound + side * max(math.ulp(bound), math.ulp(lam)))
+        assert classify(p).self_decomposable == (side > 0)
+        assert _rates_never_increase(p) == (side > 0)

@@ -11,15 +11,18 @@ from dstable import (
     BSibParams,
     DSParams,
     RngStream,
+    classify,
     ds_pmf,
     moments,
     sample_bsib,
     sample_ds,
     sample_poisson,
     stability_experiment,
+    stability_mu,
     thin,
     thin_params,
     translate,
+    translate_params,
 )
 from dstable.errors import DomainError, TailBoundUnreachable
 from dstable.pmf import bsib_pmf_array
@@ -27,6 +30,8 @@ from dstable.sampler import (
     _TABLE_CACHE_SIZE,
     _BsibTable,
     _bsib_table,
+    _reference_table,
+    _support_cut,
     pool_counts,
     tv_against_table,
 )
@@ -420,6 +425,56 @@ class TestStabilityExperiment:
         r1 = stability_experiment(DSParams(2.0, 1.0, 4.0), 0.6, 2000, RngStream(20))
         r2 = stability_experiment(DSParams(2.0, 1.0, 4.0), 0.6, 2000, RngStream(20))
         assert r1 == r2
+
+
+def _full_table(target):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TailBoundUnreachable)
+        return ds_pmf(target, 10_000, 1e-6)
+
+
+REFERENCE_GRID = PARAM_GRID + [(1.5, 1.0, 21.0), (1.5, 1.0, 1000.0)]
+
+
+class TestReferenceTable:
+    """The table stability_experiment bins stops early without changing a bin."""
+
+    @pytest.mark.parametrize("raw", REFERENCE_GRID, ids=str)
+    def test_same_bins_as_full_table(self, raw):
+        p = DSParams(*raw)
+        for rho in (0.3, 0.7):
+            target = translate_params(p, stability_mu(p, rho))
+            full = _full_table(target)
+            for n_samples in (1000, 2500, 10**5):
+                table = _reference_table(target, n_samples)
+                cut = _support_cut(full, n_samples)
+                assert _support_cut(table, n_samples) == cut, (rho, n_samples)
+                assert len(table) > cut
+                assert np.array_equal(table.masses[: cut + 1], full.masses[: cut + 1])
+
+    @pytest.mark.parametrize("raw", REFERENCE_GRID, ids=str)
+    def test_same_experiment_result(self, raw, monkeypatch):
+        p = DSParams(*raw)
+        got = [stability_experiment(p, rho, 1000, RngStream(30)) for rho in (0.3, 0.7)]
+        monkeypatch.setattr(
+            "dstable.sampler._reference_table", lambda target, n: _full_table(target)
+        )
+        want = [stability_experiment(p, rho, 1000, RngStream(30)) for rho in (0.3, 0.7)]
+        assert got == want
+
+    @pytest.mark.parametrize("raw", [(2.0, 1.0, 2.0), (1.5, 1.0, 2.0)], ids=str)
+    def test_not_self_decomposable_gets_full_table(self, raw):
+        p = DSParams(*raw)
+        assert not classify(p).self_decomposable
+        for n_samples in (1000, 10**5):
+            table = _reference_table(p, n_samples)
+            assert np.array_equal(table.masses, _full_table(p).masses)
+
+    def test_cost_bounded_by_samples(self):
+        # the full table has 10_001 entries; bins end near 27
+        p = DSParams(0.5, -1.0, 0.0)
+        target = translate_params(p, stability_mu(p, 0.5))
+        assert len(_reference_table(target, 2500)) <= 256
 
 
 class TestPoolCounts:
