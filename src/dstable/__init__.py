@@ -31,8 +31,6 @@ from .params import (
     ds_to_compound,
     ds_to_es,
     es_to_ds,
-    validate_bsib,
-    validate_ds,
 )
 from .pmf import (
     ModeReport,
@@ -67,8 +65,6 @@ __all__ = [
     "CompoundRep",
     "ESParams",
     "Classification",
-    "validate_ds",
-    "validate_bsib",
     "ds_to_compound",
     "compound_to_ds",
     "es_to_ds",

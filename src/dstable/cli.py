@@ -144,12 +144,16 @@ def _cmd_sample(args) -> int:
     p = _ds_from_args(args)
     rng = RngStream(args.seed)
     values = [sample_ds(p, rng) for _ in range(args.n)]
-    if args.format == "csv":
-        print("value")
-        for v in values:
-            print(v)
-    else:
-        print(_json_render({"schema": "sample", "seed": args.seed, "values": values}))
+    # render everything first, so a failure leaves stdout empty
+    try:
+        if args.format == "csv":
+            text = "\n".join(["value", *map(str, values)])
+        else:
+            text = _json_render({"schema": "sample", "seed": args.seed, "values": values})
+    except ValueError as exc:  # str(int) refuses ints past the interpreter's limit
+        limit = sys.get_int_max_str_digits()
+        raise DstableError(f"a variate has more than {limit} digits to print") from exc
+    print(text)
     return 0
 
 

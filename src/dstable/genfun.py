@@ -44,9 +44,17 @@ PGF_DISK_TOL = 1e-12
 DEFAULT_Z_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99)
 
 
-def _check_disk(z: complex | float) -> None:
+def _disk_point(z: complex | float) -> tuple[complex | float, type]:
+    """A PGF argument on the closed unit disk, and its kind (float or complex).
+
+    Raises DomainError past |z| = 1 + PGF_DISK_TOL. Real z becomes a float,
+    and real dust in (1, 1 + PGF_DISK_TOL] the z = 1 convention.
+    """
     if abs(z) > 1.0 + PGF_DISK_TOL:
         raise DomainError(f"PGF argument must satisfy |z| <= 1, got |z| = {abs(z)}")
+    if isinstance(z, complex):
+        return z, complex
+    return min(float(z), 1.0), float
 
 
 def pgf(p: DSParams, z: complex | float):
@@ -56,15 +64,9 @@ def pgf(p: DSParams, z: complex | float):
     logarithms use the principal branch (Re(1-z) >= 0 on the closed disk, so
     no cut is crossed). z = 1 returns exactly 1.
     """
-    _check_disk(z)
-    if isinstance(z, complex):
-        w = 1.0 - z
-        if w == 0.0:
-            return complex(1.0)
-        return _pgf_from_one(p, w)
-    z = float(z)
-    if z >= 1.0:  # real dust in (1, 1+tol] collapses to the z = 1 convention
-        return 1.0
+    z, kind = _disk_point(z)
+    if z == 1.0:
+        return kind(1.0)
     return _pgf_from_one(p, 1.0 - z)
 
 
@@ -106,25 +108,17 @@ def rfunc(p: DSParams, z: float) -> float:
 
 
 def bsib_pgf(b: BSibParams, z: complex | float):
-    """Broad-Sibuya PGF at z, |z| <= 1; H(0) = 0 and H(1) = 1 exactly."""
-    _check_disk(z)
-    if isinstance(z, complex):
-        w = 1.0 - z
-        if w == 0.0:
-            return complex(1.0)
-        if z == 0.0:
-            return complex(0.0)
-        if b.alpha == 1.0:
-            return z + b.rho * w * cmath.log(w)
-        return 1.0 - (b.rho * w + (1.0 - b.rho) * w**b.alpha)
-    z = float(z)
-    if z >= 1.0:
-        return 1.0
-    if z == 0.0:
-        return 0.0
+    """Broad-Sibuya PGF at z, |z| <= 1; H(0) = 0 and H(1) = 1 exactly.
+
+    Returns a float for real z and a complex number for complex z.
+    """
+    z, kind = _disk_point(z)
+    if z == 0.0 or z == 1.0:  # exact endpoints; abs turns z = -0.0 into +0.0
+        return kind(abs(z))
     w = 1.0 - z
     if b.alpha == 1.0:
-        return z + b.rho * w * math.log(w)
+        lib = cmath if kind is complex else math
+        return z + b.rho * w * lib.log(w)
     return 1.0 - (b.rho * w + (1.0 - b.rho) * w**b.alpha)
 
 

@@ -30,8 +30,6 @@ __all__ = [
     "CompoundRep",
     "ESParams",
     "Classification",
-    "validate_ds",
-    "validate_bsib",
     "ds_to_compound",
     "compound_to_ds",
     "es_to_ds",
@@ -227,21 +225,6 @@ class Classification:
     is_degenerate: bool
     mean_finite: bool
     variance_finite: bool
-
-
-def validate_ds(alpha: float, gamma: float, delta: float) -> DSParams:
-    """Validate a raw (alpha, gamma, delta) triple.
-
-    Raises the named constraint violation (AlphaOutOfRange,
-    GammaSignViolation, PoissonConventionViolation, DeltaBelowAlphaGamma)
-    on rejection.
-    """
-    return DSParams(alpha, gamma, delta)
-
-
-def validate_bsib(alpha: float, rho: float) -> BSibParams:
-    """Validate a raw broad-Sibuya (alpha, rho) pair."""
-    return BSibParams(alpha, rho)
 
 
 def ds_to_compound(p: DSParams) -> CompoundRep:

@@ -316,7 +316,7 @@ class ExperimentResult:
 
 
 def pool_counts(
-    observed: np.ndarray, expected: np.ndarray, min_expected: float = 5.0
+    observed: np.ndarray, expected: np.ndarray, min_expected: float = _MIN_EXPECTED
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge consecutive bins until every pooled bin expects >= min_expected."""
     obs_pooled: list[float] = []
@@ -342,7 +342,8 @@ def pool_counts(
 def _support_cut(table: PmfTable, n_samples: int) -> int:
     # individual bins up to: 1-1e-6 coverage, but never past the point where
     # expected counts drop below ~5 (fine bins in a heavy tail inflate TV)
-    coverage_cut = int(np.searchsorted(table.cdf_values, 1.0 - 1e-6, side="left"))
+    coverage = 1.0 - _REFERENCE_TAIL
+    coverage_cut = int(np.searchsorted(table.cdf_values, coverage, side="left"))
     coverage_cut = min(coverage_cut, len(table) - 1)
     heavy = np.nonzero(n_samples * table.masses >= _MIN_EXPECTED)[0]
     count_cut = int(heavy[-1]) if heavy.size else 0
@@ -383,11 +384,11 @@ def tv_against_table(
     Bins are the individual support points 0..N plus one pooled tail bin,
     with N chosen by :func:`_support_cut`; the chi-square statistic uses a
     further pooling to expected counts >= 5. Returns (tv, chi2, bins_used).
-    values must fit int64; heavy-tail draws beyond that should be pre-clamped
-    to anything past the table length (they land in the tail bin regardless).
+    values may be int64 or an object array of exact ints of any size.
     """
     cut = _support_cut(table, n_samples)
-    clipped = np.minimum(np.asarray(values, dtype=np.int64), cut + 1)
+    # clip before the cast: draws past int64 land in the tail bin too
+    clipped = np.minimum(values, cut + 1).astype(np.int64)
     counts = np.bincount(np.maximum(clipped, 0), minlength=cut + 2).astype(np.float64)
     target = np.append(table.masses[: cut + 1], 1.0 - float(table.cdf_values[cut]))
     empirical = counts / n_samples
@@ -431,10 +432,7 @@ def stability_experiment(
     frac2 = (1.0 - rho**p.alpha) ** (1.0 / p.alpha)
     y1 = thin(sample_ds(p, rng, size=n_samples), rho, rng)
     y2 = thin(sample_ds(p, rng, size=n_samples), frac2, rng)
-    cut = _support_cut(table, n_samples)
-    # huge heavy-tail draws all land in the tail bin
-    values = np.minimum(y1 + y2, cut + 1).astype(np.int64)
-    tv, chi2, bins_used = tv_against_table(values, table, n_samples)
+    tv, chi2, bins_used = tv_against_table(y1 + y2, table, n_samples)
     return ExperimentResult(
         n_samples=n_samples,
         mu=mu,

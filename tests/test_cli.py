@@ -128,6 +128,17 @@ class TestSampleCommand:
         assert code == 2
         assert "alpha" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unprintable_variate_exits_two(self, capsys, fmt):
+        # the third draw has more digits than str(int) prints by default
+        code, out, err = run_cli(
+            capsys, "sample", "--alpha", "0.0002", "--gamma", "-1", "--delta", "0",
+            "--n", "3", "--seed", "0", "--format", fmt,
+        )
+        assert code == 2
+        assert out == ""
+        assert "digits" in err
+
     def test_json_matches_csv_values(self, capsys):
         args = ["sample", "--alpha", "2", "--gamma", "1", "--delta", "3",
                 "--n", "25", "--seed", "11"]

@@ -31,6 +31,15 @@ Z_GRID = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99]
 RHO_GRID = [round(0.1 * k, 1) for k in range(1, 10)]
 
 
+def assert_same_number(value, expected):
+    """Same type, same value, and the same signs of zero in both parts."""
+    assert type(value) is type(expected)
+    assert value == expected
+    v, e = complex(value), complex(expected)
+    assert math.copysign(1.0, v.real) == math.copysign(1.0, e.real)
+    assert math.copysign(1.0, v.imag) == math.copysign(1.0, e.imag)
+
+
 class TestPgf:
     def test_poisson_at_zero(self):
         assert pgf(DSParams(1.0, 0.0, 2.0), 0.0) == pytest.approx(math.exp(-2.0))
@@ -41,6 +50,16 @@ class TestPgf:
 
     def test_hermite_at_zero(self):
         assert pgf(DSParams(2.0, 1.0, 3.0), 0.0) == pytest.approx(math.exp(-2.0))
+
+    def test_endpoints_exact_and_typed(self, grid_params):
+        p = grid_params
+        g0 = math.exp(-p.delta if p.alpha == 1.0 else p.gamma - p.delta)  # G(0)
+        cases = [
+            (1, 1.0), (1.0, 1.0), (1.0 + 5e-13, 1.0), (0.0, g0), (-0.0, g0),
+            (1 + 0j, complex(1.0)), (0j, complex(g0)), (complex(-0.0, -0.0), complex(g0)),
+        ]
+        for z, expected in cases:
+            assert_same_number(pgf(p, z), expected)
 
     def test_alpha_one_log_term_vanishes_at_zero(self):
         assert pgf(DSParams(1.0, 1.0, 2.0), 0.0) == pytest.approx(math.exp(-2.0))
@@ -133,6 +152,12 @@ class TestBsibPgf:
         b = BSibParams(alpha, rho)
         assert bsib_pgf(b, 0.0) == 0.0
         assert bsib_pgf(b, 1.0) == 1.0
+        cases = [
+            (1, 1.0), (1.0, 1.0), (1.0 + 5e-13, 1.0), (0.0, 0.0), (-0.0, 0.0),
+            (1 + 0j, complex(1.0)), (0j, complex(0.0)), (complex(-0.0, -0.0), complex(0.0)),
+        ]
+        for z, expected in cases:
+            assert_same_number(bsib_pgf(b, z), expected)
 
     def test_outside_disk_rejected(self):
         with pytest.raises(DomainError):

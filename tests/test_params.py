@@ -16,8 +16,6 @@ from dstable import (
     ds_to_es,
     es_to_ds,
     levy_weights,
-    validate_bsib,
-    validate_ds,
 )
 from dstable.errors import (
     AlphaOutOfRange,
@@ -35,26 +33,26 @@ from conftest import PARAM_GRID
 
 class TestValidateDS:
     def test_strict_eligible_point(self):
-        p = validate_ds(0.5, -1.0, 0.0)
+        p = DSParams(0.5, -1.0, 0.0)
         assert (p.alpha, p.gamma, p.delta) == (0.5, -1.0, 0.0)
         assert classify(p).strict
 
     def test_poisson_branch(self):
-        p = validate_ds(1.0, 0.0, 3.0)
+        p = DSParams(1.0, 0.0, 3.0)
         assert classify(p).is_poisson
 
     def test_delta_below_alpha_gamma(self):
         with pytest.raises(DeltaBelowAlphaGamma):
-            validate_ds(2.0, 1.0, 1.5)  # needs delta >= 2
+            DSParams(2.0, 1.0, 1.5)  # needs delta >= 2
 
     def test_alpha_above_two(self):
         with pytest.raises(AlphaOutOfRange):
-            validate_ds(2.5, 1.0, 5.0)
+            DSParams(2.5, 1.0, 5.0)
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0, 2.0000000001, math.nan])
     def test_alpha_out_of_range(self, alpha):
         with pytest.raises(AlphaOutOfRange):
-            validate_ds(alpha, 1.0, 5.0)
+            DSParams(alpha, 1.0, 5.0)
 
     @pytest.mark.parametrize(
         "alpha,gamma",
@@ -62,49 +60,49 @@ class TestValidateDS:
     )
     def test_gamma_sign_violations(self, alpha, gamma):
         with pytest.raises(GammaSignViolation):
-            validate_ds(alpha, gamma, 10.0)
+            DSParams(alpha, gamma, 10.0)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0])
     def test_poisson_convention(self, alpha):
         with pytest.raises(PoissonConventionViolation):
-            validate_ds(alpha, 0.0, 1.0)
+            DSParams(alpha, 0.0, 1.0)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.5, 2.0])
     @pytest.mark.parametrize("delta", [-1.0, 0.0, 2.5])
     def test_gamma_zero_iff_poisson(self, alpha, delta):
-        # validate_ds(alpha, 0, delta) succeeds exactly when alpha = 1, delta >= 0
+        # DSParams(alpha, 0, delta) succeeds exactly when alpha = 1, delta >= 0
         should_pass = alpha == 1.0 and delta >= 0.0
         if should_pass:
-            validate_ds(alpha, 0.0, delta)
+            DSParams(alpha, 0.0, delta)
         else:
             with pytest.raises(ParameterError):
-                validate_ds(alpha, 0.0, delta)
+                DSParams(alpha, 0.0, delta)
 
     def test_negative_delta_allowed_below_one(self):
         # delta >= alpha*gamma permits negative delta when gamma < 0
-        p = validate_ds(0.5, -1.0, -0.25)
+        p = DSParams(0.5, -1.0, -0.25)
         assert p.delta == -0.25
         with pytest.raises(DeltaBelowAlphaGamma):
-            validate_ds(0.5, -1.0, -0.75)
+            DSParams(0.5, -1.0, -0.75)
 
     def test_near_alpha_one_flag(self):
-        assert validate_ds(1.0 + 1e-9, 1.0, 2.0).near_alpha_one
-        assert validate_ds(1.0 - 1e-9, -1.0, 0.0).near_alpha_one
-        assert not validate_ds(1.0, 1.0, 2.0).near_alpha_one
-        assert not validate_ds(1.1, 1.0, 2.0).near_alpha_one
+        assert DSParams(1.0 + 1e-9, 1.0, 2.0).near_alpha_one
+        assert DSParams(1.0 - 1e-9, -1.0, 0.0).near_alpha_one
+        assert not DSParams(1.0, 1.0, 2.0).near_alpha_one
+        assert not DSParams(1.1, 1.0, 2.0).near_alpha_one
 
 
 class TestValidateBSib:
     def test_ordinary_sibuya(self):
-        b = validate_bsib(0.5, 0.0)
+        b = BSibParams(0.5, 0.0)
         assert b.rho == 0.0
 
     def test_upper_endpoint_alpha_two(self):
-        assert validate_bsib(2.0, 2.0).rho == 2.0  # alpha/(alpha-1) = 2
+        assert BSibParams(2.0, 2.0).rho == 2.0  # alpha/(alpha-1) = 2
 
     def test_rho_out_of_range(self):
         with pytest.raises(RhoOutOfRange):
-            validate_bsib(1.5, 0.5)  # needs rho > 1
+            BSibParams(1.5, 0.5)  # needs rho > 1
 
     @pytest.mark.parametrize(
         "alpha,rho,ok",
@@ -130,10 +128,10 @@ class TestValidateBSib:
     )
     def test_interval_endpoints_exact(self, alpha, rho, ok):
         if ok:
-            validate_bsib(alpha, rho)
+            BSibParams(alpha, rho)
         else:
             with pytest.raises(RhoOutOfRange):
-                validate_bsib(alpha, rho)
+                BSibParams(alpha, rho)
 
 
 class TestCompoundConversion:

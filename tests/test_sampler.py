@@ -477,6 +477,15 @@ class TestReferenceTable:
         assert len(_reference_table(target, 2500)) <= 256
 
 
+class TestTvAgainstTable:
+    def test_object_array_past_int64(self):
+        table = ds_pmf(DSParams(1.0, 0.0, 3.0), n_max=100, tail_bound=1e-12)
+        exact = np.array([0, 1, 2, 3, 10**30] * 400, dtype=object)
+        clipped = np.array([0, 1, 2, 3, len(table)] * 400, dtype=np.int64)
+        expected = tv_against_table(clipped, table, 2000)
+        assert tv_against_table(exact, table, 2000) == expected
+
+
 class TestPoolCounts:
     def test_merges_small_bins(self):
         observed = np.array([1.0, 2.0, 3.0, 50.0, 1.0])
