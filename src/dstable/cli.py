@@ -14,7 +14,7 @@ import math
 import sys
 import warnings
 
-from .errors import DstableError
+from .errors import DegenerateDistribution, DstableError
 from .genfun import stability_residual
 from .params import (
     BSibParams,
@@ -164,7 +164,7 @@ def _cmd_check(args) -> int:
     try:
         c = ds_to_compound(p)
         compound = {"lambda": c.lam, "rho": c.summand.rho}
-    except DstableError:
+    except DegenerateDistribution:
         compound = None  # point mass at zero has no compound form
     rhos = args.rho if args.rho else [0.1 * k for k in range(1, 10)]
     residual = max(stability_residual(p, r).max_residual for r in rhos)

@@ -17,6 +17,7 @@ from .errors import (
     DegenerateDistribution,
     DeltaBelowAlphaGamma,
     DeltaLimViolation,
+    DomainError,
     GammaSignViolation,
     NoScaleForDegenerate,
     ParameterError,
@@ -231,7 +232,10 @@ def ds_to_compound(p: DSParams) -> CompoundRep:
     """Compound-Poisson representation (rate, jump law) of a DS law.
 
     The point mass at zero (gamma = delta = 0) has no representation with a
-    positive rate and is rejected.
+    positive rate and is rejected. Off alpha = 1, a delta so far above |gamma|
+    that delta - gamma rounds to delta (delta/|gamma| past ~1e16) leaves
+    rho = delta/(delta - gamma) at 1, which no double can resolve; that
+    raises a DomainError.
     """
     if p.gamma == 0.0 and p.delta == 0.0:
         raise DegenerateDistribution(
@@ -244,6 +248,12 @@ def ds_to_compound(p: DSParams) -> CompoundRep:
     else:
         lam = p.delta - p.gamma
         rho = p.delta / lam
+        if rho == 1.0:
+            raise DomainError(
+                f"delta/|gamma| = {p.delta / abs(p.gamma):.3g} is past double "
+                f"resolution: delta - gamma rounds to delta, so the jump law's "
+                f"rho = delta/(delta - gamma) rounds to 1"
+            )
         if p.alpha < 1.0:
             rho = _snap_into(rho, -p.alpha / (1.0 - p.alpha), lower=True)
         else:

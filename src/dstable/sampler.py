@@ -1,17 +1,30 @@
 """Seedable variate generation for the Poisson, broad-Sibuya and DS laws.
 
-DS sampling goes through the compound representation: a Poisson number of
-broad-Sibuya jumps. Broad-Sibuya draws use inverse CDF over a lazily grown
-cumulative table with geometric doubling; draws landing beyond the capped
-table fall back to exact inversion of the closed-form survival function
-(the tables a doubling-only scheme would need for small alpha are
-astronomically large). Poisson and binomial primitives are delegated to
-numpy's Generator (transformed rejection / BTPE: O(1) at large rates).
+With w = 1 - z the DS PGF factors as
 
-``sample_ds(p, rng, size=n)`` draws n variates at once: one Poisson array of
-jump counts, one uniform array looked up in the same table, and per-variate
-totals as differences of a cumulative sum. Variates that could pass 2^62 are
-kept as exact Python ints in an object array.
+    G(z) = exp(-(delta - alpha gamma) w) * exp(-alpha gamma w + gamma w^alpha),
+
+so DS(alpha, gamma, delta) is Poisson(delta - alpha gamma) plus an
+independent draw from its core law DS(alpha, gamma, alpha gamma). The core's
+compound representation has rate |1 - alpha| |gamma| (gamma at alpha = 1),
+whatever delta is, and its broad-Sibuya jump law sits at the boundary rho:
+-alpha/(1 - alpha), 1 or alpha/(alpha - 1). A DS draw is therefore one
+Poisson draw, one Poisson count of core jumps, and that many jumps; at
+alpha = 2 every jump is 2, so a Hermite draw is two Poisson draws. Its cost
+follows the heavy-tailed part of the law, not delta.
+
+Broad-Sibuya draws use inverse CDF over a lazily grown cumulative table with
+geometric doubling; draws landing beyond the capped table fall back to exact
+inversion of the closed-form survival function (the tables a doubling-only
+scheme would need for small alpha are astronomically large). Poisson and
+binomial primitives are delegated to numpy's Generator (transformed
+rejection / BTPE: O(1) at large rates). Poisson rates from 2^33 and binomial
+counts past 2^62 - 1 take the normal limit instead, in integer arithmetic.
+
+``sample_ds(p, rng, size=n)`` draws n variates at once: one Poisson array,
+one array of jump counts, one uniform array looked up in the same table, and
+per-variate totals as differences of a cumulative sum. Arrays with a
+variate past 2^62 - 1 hold exact Python ints in an object array.
 """
 
 from __future__ import annotations
@@ -26,7 +39,7 @@ from numpy.random import PCG64, Generator, SeedSequence
 
 from .errors import DomainError
 from .genfun import stability_mu, translate_params
-from .params import BSibParams, DSParams, classify, ds_to_compound
+from .params import BSibParams, DSParams, classify
 from .pmf import PmfTable, bsib_pmf_array, ds_pmf
 
 __all__ = [
@@ -64,9 +77,13 @@ _REFERENCE_GROWTH = 4
 # relative slack on the stopping comparisons, far above the masses' rounding
 _UNIMODAL_MARGIN = 1e-6
 
-# numpy's binomial takes int64 trials; beyond that use the normal limit,
-# whose error is far below double resolution at such counts.
+# numpy's binomial takes int64 trials; beyond that use the normal limit
 _BINOMIAL_EXACT_MAX = (1 << 62) - 1
+# numpy's Poisson accepts in log space, with an absolute error near
+# rate log(rate) 2^-53: from ~1e13 on it fails a chi-square at 1e6 draws, from
+# ~1e16 on its variance reads ~1.5 rate, and past ~9.2e18 it refuses. From
+# here on the normal limit, O(rate^-1/2), is the smaller error.
+_POISSON_EXACT_MAX = float(1 << 33)
 
 
 class RngStream:
@@ -107,14 +124,53 @@ class RngStream:
         return f"RngStream(seed={self.seed}, spawn_key={self.spawn_key})"
 
 
+def _round_normal(mean_num: int, var_num: int, den: int, z: float) -> int:
+    """round((mean_num + sqrt(var_num) z) / den), clipped at 0, in integers.
+
+    The normal limit of a count with mean m = mean_num/den and variance
+    v = var_num/den^2, for the standard normal z: it stands in for numpy's
+    Poisson and binomial draws where those lose accuracy or refuse the
+    input, with an error of O(v^-1/2) in total variation. Integer arithmetic
+    keeps it exact past the float range.
+    """
+    zn, zd = z.as_integer_ratio()
+    scaled = mean_num * zd + math.isqrt(var_num) * zn
+    return max((2 * scaled + den * zd) // (2 * den * zd), 0)
+
+
+def _poisson_limit(rate: float, z: float) -> int:
+    # N(rate, rate) rounded: mean num/den and variance num*den/den^2
+    num, den = rate.as_integer_ratio()
+    return _round_normal(num, num * den, den, z)
+
+
 def sample_poisson(rate: float, rng: RngStream) -> int:
-    """One Poisson(rate) variate; rate = 0 returns 0."""
+    """One Poisson(rate) variate; rate = 0 returns 0 and draws nothing.
+
+    Rates from 2^33 on take the normal limit N(rate, rate), rounded and
+    clipped at 0, whose error is O(rate^-1/2) in total variation.
+    """
     rate = float(rate)
     if not (math.isfinite(rate) and rate >= 0.0):
         raise DomainError(f"Poisson rate must be finite and >= 0, got {rate}")
+    return _poisson(rate, rng)
+
+
+def _poisson(rate: float, rng: RngStream) -> int:
+    """:func:`sample_poisson` for a rate already known to be finite and >= 0."""
     if rate == 0.0:
         return 0
-    return rng.poisson(rate)
+    if rate < _POISSON_EXACT_MAX:
+        return rng.poisson(rate)
+    return _poisson_limit(rate, rng.normal())
+
+
+def _poisson_array(rate: float, size: int, rng: RngStream) -> np.ndarray:
+    """size Poisson(rate) variates, each as :func:`sample_poisson` draws it."""
+    if rate < _POISSON_EXACT_MAX:
+        return rng._gen.poisson(rate, size)  # rate 0 draws nothing
+    normals = rng._gen.standard_normal(size).tolist()
+    return np.array([_poisson_limit(rate, z) for z in normals], dtype=object)
 
 
 class _BsibTable:
@@ -192,8 +248,7 @@ class _BsibTable:
         return hi
 
 
-# keyed on the two floats: hashing them costs half of hashing a BSibParams,
-# and the scalar sampler looks a table up once per jump
+# keyed on the two floats: hashing them costs half of hashing a BSibParams
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _bsib_table(alpha: float, rho: float) -> _BsibTable:
     return _BsibTable(BSibParams(alpha, rho))
@@ -204,24 +259,50 @@ def sample_bsib(b: BSibParams, rng: RngStream) -> int:
     return _bsib_table(b.alpha, b.rho).draw(rng.random())
 
 
+def _split_rates(alpha: float, gamma: float, delta: float) -> tuple[float, float, float]:
+    """(Poisson rate, core compound rate, core rho) of DS(alpha, gamma, delta).
+
+    The core law DS(alpha, gamma, alpha gamma) has compound rate
+    alpha gamma - gamma = (alpha - 1) gamma, or gamma at alpha = 1, and its
+    jump law's rho = alpha gamma / rate is the boundary value of its
+    interval. Neither depends on delta, so neither rounds away at large delta.
+    The Poisson rate is >= 0 as computed: DSParams checked delta against the
+    same rounded product alpha gamma.
+    """
+    rate = delta - alpha * gamma
+    if alpha == 1.0:
+        return rate, gamma, 1.0
+    if alpha < 1.0:
+        return rate, (1.0 - alpha) * -gamma, -alpha / (1.0 - alpha)
+    return rate, (alpha - 1.0) * gamma, alpha / (alpha - 1.0)
+
+
 def sample_ds(p: DSParams, rng: RngStream, size: int | None = None) -> int | np.ndarray:
-    """DS variates: a Poisson count of broad-Sibuya jumps each.
+    """DS variates: Poisson(delta - alpha gamma) plus the core law's jumps each.
+
+    Each variate is a Poisson(delta - alpha gamma) draw plus a Poisson count
+    of broad-Sibuya jumps of the core law DS(alpha, gamma, alpha gamma), whose
+    rate |1 - alpha| |gamma| does not grow with delta (see the module notes).
+    The stream is consumed in that order: the Poisson part, the jump counts,
+    then the jumps; a rate of 0 draws nothing.
 
     Without size, one variate as an int. With size=n, an array of n: int64,
-    or an object array of exact ints when the heavy tail could pass 2^62.
+    or an object array of exact ints when a variate passes 2^62 - 1.
     size=1 consumes the stream exactly as one call without size does, but
-    n > 1 does not match n such calls: the array form draws all n jump
-    counts before any jump.
+    n > 1 does not match n such calls: the array form draws all n Poisson
+    parts and all n jump counts before any jump.
     """
     if size is not None:
         return _sample_ds_array(p, rng, size)
-    if p.gamma == 0.0:
-        return sample_poisson(p.delta, rng)
-    c = ds_to_compound(p)
-    count = sample_poisson(c.lam, rng)
-    total = 0
-    for _ in range(count):
-        total += sample_bsib(c.summand, rng)
+    rate, core_rate, rho = _split_rates(p.alpha, p.gamma, p.delta)
+    total = _poisson(rate, rng)
+    count = _poisson(core_rate, rng)
+    if p.alpha == 2.0:  # every core jump is 2
+        return total + 2 * count
+    if count:
+        draw = _bsib_table(p.alpha, rho).draw
+        for _ in range(count):
+            total += draw(rng.random())
     return total
 
 
@@ -229,15 +310,25 @@ def _sample_ds_array(p: DSParams, rng: RngStream, size: int) -> np.ndarray:
     size = int(size)
     if size < 0:
         raise DomainError(f"size must be >= 0, got {size}")
-    gen = rng._gen
-    if p.gamma == 0.0:  # Poisson(delta); delta = 0 gives zeros and draws nothing
-        return gen.poisson(p.delta, size)
-    c = ds_to_compound(p)
-    table = _bsib_table(c.summand.alpha, c.summand.rho)
-    counts = gen.poisson(c.lam, size)
+    rate, core_rate, rho = _split_rates(p.alpha, p.gamma, p.delta)
+    total = _poisson_array(rate, size, rng)
+    counts = _poisson_array(core_rate, size, rng)
+    if p.alpha == 2.0:  # every core jump is 2
+        total = total + 2 * counts
+    elif counts.any():
+        total = total + _jump_sums(counts, _bsib_table(p.alpha, rho), rng._gen)
+    # each part stays below 2^62 in int64, so their sum cannot wrap
+    if total.size and total.max() > _BINOMIAL_EXACT_MAX:
+        return total.astype(object)
+    return total.astype(np.int64, copy=False)
+
+
+def _jump_sums(counts: np.ndarray, table: _BsibTable, gen: Generator) -> np.ndarray:
+    """Per-variate sums of counts[i] jumps each, drawn in passes of whole variates."""
+    size = counts.size
     bounds = np.zeros(size + 1, dtype=np.int64)  # variate i owns jumps bounds[i]:bounds[i+1]
     np.cumsum(counts, out=bounds[1:])
-    parts = [counts[:0]]  # empty int64, so size = 0 concatenates too
+    parts = []
     lo = 0
     while lo < size:
         # the whole variates whose jumps fit one pass, and at least one
@@ -257,7 +348,7 @@ def thin(x: int | np.ndarray, a: float, rng: RngStream) -> int | np.ndarray:
     x is one count, or an array of counts (int64, or object holding ints).
     Counts up to 2^62 - 1 are thinned exactly by numpy's binomial. Larger
     counts take the normal limit N(xa, xa(1-a)), rounded and clipped to
-    [0, x], whose error is far below double resolution at such counts; it is
+    [0, x], whose error is O((xa(1-a))^-1/2) in total variation; it is
     computed in integer arithmetic, so counts past the float range thin too.
     """
     a = float(a)
@@ -274,12 +365,9 @@ def thin(x: int | np.ndarray, a: float, rng: RngStream) -> int | np.ndarray:
         return x
     if x <= _BINOMIAL_EXACT_MAX:
         return rng.binomial(x, a)
-    # round(x a + sqrt(x a (1-a)) z) over the common denominator den * zd
+    # N(x a, x a (1-a)) rounded: mean x num/den and variance x num (den-num)/den^2
     num, den = a.as_integer_ratio()
-    zn, zd = rng.normal().as_integer_ratio()
-    scaled = x * num * zd + math.isqrt(x * num * (den - num)) * zn
-    draw = (2 * scaled + den * zd) // (2 * den * zd)
-    return min(max(draw, 0), x)
+    return min(_round_normal(x * num, x * num * (den - num), den, rng.normal()), x)
 
 
 def _thin_array(x: np.ndarray, a: float, rng: RngStream) -> np.ndarray:

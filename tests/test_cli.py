@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -139,6 +140,37 @@ class TestSampleCommand:
         assert out == ""
         assert "digits" in err
 
+    def test_delta_past_double_resolution(self, capsys):
+        # rho = delta/(delta - gamma) rounds to 1; the sampler never forms it
+        code, out, err = run_cli(
+            capsys, "sample", "--alpha", "1.5", "--gamma", "1", "--delta", "1e16",
+            "--n", "1", "--seed", "3",
+        )
+        assert code == 0, err
+        assert int(out.split()[1]) > 0
+
+    def test_hermite_huge_rates_fast(self, capsys):
+        # Poisson(8e17) + 2 Poisson(1e17): two draws, not 1e17 jumps
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "sample", "--alpha", "2", "--gamma", "1e17", "--delta", "1e18",
+            "--n", "1", "--seed", "4",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 0, err
+        # mean 1e18, variance delta + 2 gamma = 1.2e18
+        assert abs(int(out.split()[1]) - 10**18) < 10 * math.isqrt(12 * 10**17)
+
+    def test_poisson_rate_past_numpy_range(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sample", "--alpha", "1", "--gamma", "0", "--delta", "1e19",
+            "--n", "2", "--seed", "5",
+        )
+        values = [int(v) for v in out.split()[1:]]
+        assert code == 0, err
+        assert len(values) == 2
+        assert all(abs(v - 10**19) < 10 * math.isqrt(10**19) for v in values)
+
     def test_json_matches_csv_values(self, capsys):
         args = ["sample", "--alpha", "2", "--gamma", "1", "--delta", "3",
                 "--n", "25", "--seed", "11"]
@@ -206,6 +238,22 @@ class TestCheckCommand:
         )
         assert code == 2
         assert "gamma" in err
+
+    def test_rho_past_double_resolution_exit_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "check", "--alpha", "1.5", "--gamma", "1", "--delta", "1e16",
+        )
+        assert code == 2
+        assert out == ""
+        assert "double resolution" in err
+
+    def test_point_mass_has_no_compound(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "check", "--alpha", "1", "--gamma", "0", "--delta", "0",
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["compound"] is None
 
 
 class TestStabilityTestCommand:
@@ -278,6 +326,15 @@ class TestConvertCommand:
         result = json.loads(out)["result"]
         assert code == 0
         assert result["sigma"] == pytest.approx(1.0)
+
+    def test_rho_past_double_resolution_exit_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "convert", "--from", "ds", "--to", "compound",
+            "--alpha", "1.5", "--gamma", "1", "--delta", "1e16",
+        )
+        assert code == 2
+        assert out == ""
+        assert "double resolution" in err
 
     def test_missing_flags_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "convert", "--from", "ds", "--to", "compound")

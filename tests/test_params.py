@@ -22,6 +22,7 @@ from dstable.errors import (
     DegenerateDistribution,
     DeltaBelowAlphaGamma,
     DeltaLimViolation,
+    DomainError,
     GammaSignViolation,
     ParameterError,
     PoissonConventionViolation,
@@ -179,6 +180,12 @@ class TestCompoundConversion:
             assert q.alpha == p.alpha
             assert q.gamma == pytest.approx(p.gamma, rel=1e-14, abs=1e-14)
             assert q.delta == pytest.approx(p.delta, rel=1e-14, abs=1e-14)
+
+    @pytest.mark.parametrize("raw", [(1.5, 1.0, 1e16), (0.5, -1.0, 1e17), (1.3, 1e-300, 1.0)])
+    def test_rho_past_double_resolution(self, raw):
+        # delta - gamma rounds to delta: an honest DomainError, not RhoOutOfRange
+        with pytest.raises(DomainError, match="double resolution"):
+            ds_to_compound(DSParams(*raw))
 
     def test_round_trip_at_boundary(self):
         # delta exactly at alpha*gamma maps to the rho interval endpoint

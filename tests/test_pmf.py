@@ -149,6 +149,11 @@ class TestDsPmfRecursion:
             expected = oracles.hermite_pmf(a1, a2, n)
             assert mass == pytest.approx(expected, rel=1e-12, abs=1e-280)
 
+    def test_rho_past_double_resolution_is_named(self):
+        # delta/gamma = 1e16: delta - gamma rounds to delta, so rho would be 1
+        with pytest.raises(DomainError, match="double resolution"):
+            ds_pmf(DSParams(1.5, 1.0, 1e16), n_max=10)
+
     def test_strict_sibuya_mass_at_zero(self):
         table = make_table(DSParams(0.5, -1.0, 0.0), n_max=50)
         assert table.masses[0] == pytest.approx(math.exp(-1.0), rel=1e-13)

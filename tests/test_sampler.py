@@ -13,6 +13,7 @@ from dstable import (
     RngStream,
     classify,
     ds_pmf,
+    ds_to_compound,
     moments,
     sample_bsib,
     sample_ds,
@@ -27,10 +28,12 @@ from dstable import (
 from dstable.errors import DomainError, TailBoundUnreachable
 from dstable.pmf import bsib_pmf_array
 from dstable.sampler import (
+    _POISSON_EXACT_MAX,
     _TABLE_CACHE_SIZE,
     _BsibTable,
     _bsib_table,
     _reference_table,
+    _split_rates,
     _support_cut,
     pool_counts,
     tv_against_table,
@@ -239,11 +242,12 @@ class TestBsibTail:
         assert _bsib_table.cache_info().currsize <= _TABLE_CACHE_SIZE
 
 
-# the first 20 scalar draws, recorded before the array form existed
+# the first 20 scalar draws of Poisson(delta - alpha gamma) plus the core law,
+# checked against a replay of the same draws straight on numpy's Generator
 PINNED_SCALAR_DRAWS = [
-    ((0.5, -1.0, 0.0), 2024, [1, 2, 0, 0, 1, 1, 3, 1, 1, 0, 26, 0, 290, 0, 0, 0, 13, 1, 1, 0]),
-    ((1.3, 1.0, 2.0), 2025, [8, 0, 0, 2, 0, 0, 2, 0, 0, 2, 0, 1, 6, 2, 2, 5, 5, 1, 2, 13]),
-    ((2.0, 1.0, 3.0), 2026, [1, 2, 3, 6, 1, 2, 1, 7, 3, 3, 4, 2, 3, 1, 3, 4, 2, 5, 10, 0]),
+    ((0.5, -1.0, 0.0), 2024, [1, 2, 0, 0, 1, 0, 2, 0, 3, 1, 0, 25, 0, 2, 3, 3, 1, 0, 0, 0]),
+    ((1.3, 1.0, 2.0), 2025, [16, 0, 2, 0, 2, 0, 0, 3, 0, 4, 4, 0, 1, 0, 5, 4, 0, 0, 1, 2]),
+    ((2.0, 1.0, 3.0), 2026, [2, 5, 9, 2, 2, 3, 2, 0, 7, 3, 2, 1, 4, 5, 4, 5, 2, 9, 1, 2]),
 ]
 
 
@@ -303,6 +307,117 @@ class TestSampleDSArray:
         result = stability_experiment(DSParams(0.05, -1.0, 0.0), 0.3, 1000, RngStream(25))
         assert result.mu == 0.0
         assert oracles.chi2_pvalue(result.chi_square_stat, result.bins_used - 1) > 0.001
+
+
+# the first 20 draws of sample_bsib, recorded before the DS sampler split off
+# its Poisson part: the split must leave the bSib stream as it was
+PINNED_BSIB_DRAWS = [
+    ((0.5, 0.0), 3101, [3, 1, 1, 1, 1, 116, 1, 47, 76, 8, 1, 5, 1, 1, 1, 2, 1, 3, 77, 1]),
+    ((1.0, 0.5), 3102, [3, 3, 2, 1, 1, 2, 1, 2, 2, 1, 2, 2, 1, 1, 1, 1, 2, 1, 5, 1]),
+    ((1.3, 2.0), 3103, [1, 1, 1, 1, 1, 4, 1, 1, 2, 1, 1, 2, 2, 2, 3, 1, 1, 1, 1, 1]),
+]
+
+# laws whose Poisson part delta - alpha gamma carries most (or all) of delta
+SPLIT_LAWS = [
+    (1.5, 1.0, 21.0),
+    (1.5, 1.0, 1000.0),
+    (1.0 + 1e-9, 1.0, 2.0),
+    (2.0, 1.0, 3.0),
+    (1.0, 1.0, 2.0),
+]
+
+
+def _exact_mean_var(values) -> tuple[float, float]:
+    xs = [int(v) for v in values]
+    n, total = len(xs), sum(xs)
+    squares = sum(x * x for x in xs)
+    return total / n, (n * squares - total * total) / (n * (n - 1))
+
+
+class TestPoissonPlusCore:
+    """DS(alpha, gamma, delta) drawn as Poisson(delta - alpha gamma) plus its core law."""
+
+    @pytest.mark.parametrize("raw", PARAM_GRID + SPLIT_LAWS, ids=str)
+    def test_rates_match_core_compound_form(self, raw):
+        alpha, gamma, delta = raw
+        rate, core_rate, rho = _split_rates(alpha, gamma, delta)
+        assert rate == delta - alpha * gamma >= 0.0
+        if gamma == 0.0:  # the core is the point mass at zero
+            assert core_rate == 0.0
+            return
+        c = ds_to_compound(DSParams(alpha, gamma, alpha * gamma))
+        assert core_rate == pytest.approx(c.lam, rel=1e-14)
+        assert rho == pytest.approx(c.summand.rho, rel=1e-14)
+
+    @pytest.mark.parametrize("raw", SPLIT_LAWS, ids=str)
+    def test_chi_square_against_pmf(self, raw):
+        # every table entry a bin, plus the tail; degrees of freedom from the
+        # pooled bins, since DS(1.5, 1, 1000) pools hundreds of empty left bins
+        n = 10**5
+        p = DSParams(*raw)
+        values = sample_ds(p, RngStream(7101 + SPLIT_LAWS.index(raw)), size=n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TailBoundUnreachable)
+            table = ds_pmf(p, n_max=4000, tail_bound=1e-9)
+        top = len(table)
+        counts = np.bincount(np.minimum(values, top).astype(np.int64), minlength=top + 1)
+        obs, exp = pool_counts(counts, n * np.append(table.masses, table.tail_mass))
+        chi2 = float(np.sum((obs - exp) ** 2 / exp))
+        pvalue = oracles.chi2_pvalue(chi2, len(obs) - 1)
+        assert pvalue > 0.001, f"{p}: chi2 = {chi2:.1f}, p = {pvalue:.5f}"
+
+    @pytest.mark.parametrize(
+        "raw, seed", [((2.0, 1e6, 3e6), 7111), ((2.0, 1e17, 1e18), 7112), ((1.0, 0.0, 1e19), 7113)],
+        ids=str,
+    )
+    def test_mean_and_variance_at_huge_rates(self, raw, seed):
+        # mean delta, variance delta + 2 gamma (Hermite) or delta (Poisson)
+        n = 20000
+        p = DSParams(*raw)
+        mean, var = _exact_mean_var(sample_ds(p, RngStream(seed), size=n))
+        want = p.delta + 2.0 * p.gamma
+        assert abs(mean - p.delta) < 6.0 * math.sqrt(want / n)
+        assert abs(var - want) < 6.0 * want * math.sqrt(2.0 / n)
+
+    def test_normal_limit_poisson_beyond_numpy(self):
+        rate = 1e19
+        assert rate > _POISSON_EXACT_MAX
+        rng = RngStream(7114)
+        draws = [sample_poisson(rate, rng) for _ in range(2000)]
+        assert all(isinstance(v, int) and v >= 0 for v in draws)
+        mean, var = _exact_mean_var(draws)
+        assert abs(mean - rate) < 6.0 * math.sqrt(rate / 2000)
+        assert abs(var - rate) < 6.0 * rate * math.sqrt(2.0 / 2000)
+
+    @pytest.mark.parametrize(
+        "raw", [(1.0, 0.0, 1e19), (2.0, 1e19, 1e20), (1.5, 1.0, 1e16), (0.5, -1.0, 1e300)], ids=str
+    )
+    def test_size_one_matches_scalar_at_huge_rates(self, raw):
+        p = DSParams(*raw)
+        scalar, batch = RngStream(7115), RngStream(7115)
+        for _ in range(20):
+            assert sample_ds(p, batch, size=1)[0] == sample_ds(p, scalar)
+        assert scalar.random() == batch.random()
+
+    def test_variates_past_int64_are_exact_ints(self):
+        values = sample_ds(DSParams(1.0, 0.0, 1e19), RngStream(7116), size=50)
+        assert values.dtype == object
+        assert all(isinstance(v, int) for v in values)
+        thinned = thin(values, 0.5, RngStream(7117))
+        assert all(0 <= t <= v for t, v in zip(thinned, values))
+
+    def test_zero_gamma_draws_only_the_poisson_part(self):
+        # gamma = 0 has core rate 0, so no branch for it: the stream holds
+        # the Poisson(delta) draws and nothing else
+        rng, ref = RngStream(7118), RngStream(7118)
+        got = sample_ds(DSParams(1.0, 0.0, 3.0), rng, size=100)
+        assert np.array_equal(got, ref._gen.poisson(3.0, 100))
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("raw, seed, draws", PINNED_BSIB_DRAWS)
+    def test_bsib_stream_pinned(self, raw, seed, draws):
+        rng = RngStream(seed)
+        assert [sample_bsib(BSibParams(*raw), rng) for _ in range(20)] == draws
 
 
 class TestThin:
