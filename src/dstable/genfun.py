@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import (
@@ -48,13 +49,15 @@ def _disk_point(z: complex | float) -> tuple[complex | float, type]:
     """A PGF argument on the closed unit disk, and its kind (float or complex).
 
     Raises DomainError past |z| = 1 + PGF_DISK_TOL. Real z becomes a float,
-    and real dust in (1, 1 + PGF_DISK_TOL] the z = 1 convention.
+    and real dust in (1, 1 + PGF_DISK_TOL] the z = 1 convention. Any other z
+    becomes a builtin complex, so numpy's complex types take the same cmath
+    route as a complex, and give the same digits.
     """
     if abs(z) > 1.0 + PGF_DISK_TOL:
         raise DomainError(f"PGF argument must satisfy |z| <= 1, got |z| = {abs(z)}")
-    if isinstance(z, complex):
-        return z, complex
-    return min(float(z), 1.0), float
+    if isinstance(z, numbers.Real):
+        return min(float(z), 1.0), float
+    return complex(z), complex
 
 
 def pgf(p: DSParams, z: complex | float):

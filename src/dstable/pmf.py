@@ -52,6 +52,9 @@ _INVERSION_DUST = 1e-10
 
 _RENORM_LIMIT = 2.0**512
 _RENORM_FACTOR = 2.0**-512
+# np.ldexp takes an int32 exponent. Scaled entries stay below 2^513, so from
+# this exponent down every mass rounds to 0 anyway.
+_LDEXP_MIN_EXP = -2200
 
 # ds_pmf computes entries in leaves of this length, each by a direct dot
 # product over its own leaf; pushes from finished blocks supply the rest.
@@ -262,7 +265,7 @@ def ds_pmf(
         scaled[n] = value
         cum += ldexp(value, exp2)
 
-    masses = np.ldexp(scaled[: n + 1], exp2)
+    masses = np.ldexp(scaled[: n + 1], max(exp2, _LDEXP_MIN_EXP))
     small_negative = (masses < 0.0) & (masses > -_NEGATIVE_DUST)
     masses[small_negative] = 0.0
     table = PmfTable(masses, tag, tail_bound)

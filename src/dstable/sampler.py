@@ -1,25 +1,21 @@
 """Seedable variate generation for the Poisson, broad-Sibuya and DS laws.
 
-With w = 1 - z the DS PGF factors as
+With x = 1 - z the DS PGF is exp(-(delta - alpha gamma) x) times
+exp(-alpha gamma x + gamma x^alpha), so DS(alpha, gamma, delta) is
+Poisson(delta - alpha gamma) plus an independent draw from its core law
+DS(alpha, gamma, alpha gamma): a Poisson count, at rate |1 - alpha| |gamma|
+(gamma at alpha = 1) whatever delta is, of jumps from the Sibuya core at
+alpha, the broad-Sibuya law at its boundary rho. Every BSib(alpha, rho) is 1
+with probability 1 - w and a core jump otherwise, for w = (1 - rho)(1 - alpha),
+or rho at alpha = 1, so one table per alpha serves them all. At alpha = 2
+every core jump is 2: a Hermite draw is two Poisson draws.
 
-    G(z) = exp(-(delta - alpha gamma) w) * exp(-alpha gamma w + gamma w^alpha),
-
-so DS(alpha, gamma, delta) is Poisson(delta - alpha gamma) plus an
-independent draw from its core law DS(alpha, gamma, alpha gamma). The core's
-compound representation has rate |1 - alpha| |gamma| (gamma at alpha = 1),
-whatever delta is, and its broad-Sibuya jump law sits at the boundary rho:
--alpha/(1 - alpha), 1 or alpha/(alpha - 1). A DS draw is therefore one
-Poisson draw, one Poisson count of core jumps, and that many jumps; at
-alpha = 2 every jump is 2, so a Hermite draw is two Poisson draws. Its cost
-follows the heavy-tailed part of the law, not delta.
-
-Broad-Sibuya draws use inverse CDF over a lazily grown cumulative table with
-geometric doubling; draws landing beyond the capped table fall back to exact
-inversion of the closed-form survival function (the tables a doubling-only
-scheme would need for small alpha are astronomically large). Poisson and
-binomial primitives are delegated to numpy's Generator (transformed
-rejection / BTPE: O(1) at large rates). Poisson rates from 2^33 and binomial
-counts past 2^62 - 1 take the normal limit instead, in integer arithmetic.
+A core jump at t = 1 - u is the smallest n with S(n) < t for the survival
+S(n) = prod_{k=2..n} (1 - alpha/k), from a lazily doubled table; past the
+capped table it inverts S(n) = Gamma(n+1-alpha) / (Gamma(2-alpha) n!) by
+bisection around its asymptotic inverse. Poisson and binomial draws are
+numpy's (transformed rejection / BTPE), except that Poisson rates from 2^33
+and binomial counts past 1e17 take the normal limit, in integer arithmetic.
 
 ``sample_ds(p, rng, size=n)`` draws n variates at once: one Poisson array,
 one array of jump counts, one uniform array looked up in the same table, and
@@ -40,7 +36,7 @@ from numpy.random import PCG64, Generator, SeedSequence
 from .errors import DomainError
 from .genfun import stability_mu, translate_params
 from .params import BSibParams, DSParams, classify
-from .pmf import PmfTable, bsib_pmf_array, ds_pmf
+from .pmf import PmfTable, ds_pmf
 
 __all__ = [
     "RngStream",
@@ -59,12 +55,14 @@ _MASK64 = (1 << 64) - 1
 
 _TABLE_INIT = 64
 _TABLE_CAP = 1 << 16
-# broad-Sibuya laws whose inverse-CDF tables are kept, least recently used first out
+# Sibuya cores (one per alpha) whose survival tables are kept, least recently used first out
 _TABLE_CACHE_SIZE = 32
 # uniforms drawn per pass of the batch sampler; bounds its memory at large lam
 _JUMP_BATCH = 1 << 20
 # beyond this, lgamma(n+1-a) - lgamma(n+1) cancels; use its asymptotic series
 _ASYMPTOTIC_N = 10**6
+# the longest core jump, in bits, that the closed-form tail builds (2 MB)
+_TAIL_BITS_MAX = 1 << 24
 
 # goodness-of-fit bins stop where fewer than this many samples are expected
 _MIN_EXPECTED = 5.0
@@ -77,8 +75,12 @@ _REFERENCE_GROWTH = 4
 # relative slack on the stopping comparisons, far above the masses' rounding
 _UNIMODAL_MARGIN = 1e-6
 
-# numpy's binomial takes int64 trials; beyond that use the normal limit
-_BINOMIAL_EXACT_MAX = (1 << 62) - 1
+# int64 arrays hold values up to here, so that a sum of two cannot wrap
+_INT64_SAFE_MAX = (1 << 62) - 1
+# numpy's binomial passes a 33-bin chi-square (1e6 draws) up to 1e18 trials,
+# but beside its own 1e9-trial stream its variance reads 2-5e-4 high at 1e18
+# and 4-6% at 4e18. Up to 1e17 it does not move.
+_BINOMIAL_EXACT_MAX = 10**17
 # numpy's Poisson accepts in log space, with an absolute error near
 # rate log(rate) 2^-53: from ~1e13 on it fails a chi-square at 1e6 draws, from
 # ~1e16 on its variance reads ~1.5 rate, and past ~9.2e18 it refuses. From
@@ -173,58 +175,60 @@ def _poisson_array(rate: float, size: int, rng: RngStream) -> np.ndarray:
     return np.array([_poisson_limit(rate, z) for z in normals], dtype=object)
 
 
-class _BsibTable:
-    """Lazily grown inverse-CDF table for one broad-Sibuya law."""
+class _CoreTable:
+    """-S(1..N) of the Sibuya core at one alpha, negated to ascend; grown lazily."""
 
-    __slots__ = ("params", "cum")
+    __slots__ = ("alpha", "neg_survival")
 
-    def __init__(self, b: BSibParams):
-        self.params = b
+    def __init__(self, alpha: float):
+        self.alpha = alpha
         self._rebuild(_TABLE_INIT)
 
     def _rebuild(self, size: int) -> None:
-        masses = bsib_pmf_array(self.params, size)[1:]
-        self.cum = np.cumsum(masses, out=masses)
+        # 1 - alpha/k in place: at the cap, temporaries would set the peak memory
+        factors = np.arange(1.0, size + 1.0)
+        np.subtract(1.0, np.divide(self.alpha, factors, out=factors), out=factors)
+        factors[0] = -1.0  # S(1) = 1, negated
+        self.neg_survival = np.cumprod(factors, out=factors)
 
-    def _grow_to(self, u: float) -> None:
-        while u > self.cum[-1] and self.cum.size < _TABLE_CAP:
-            self._rebuild(min(2 * self.cum.size, _TABLE_CAP))
+    def _grow_to(self, neg_t: float) -> None:
+        while self.neg_survival[-1] <= neg_t and self.neg_survival.size < _TABLE_CAP:
+            self._rebuild(min(2 * self.neg_survival.size, _TABLE_CAP))
 
-    def draw(self, u: float) -> int:
-        if u > self.cum[-1]:
-            self._grow_to(u)
-        if u <= self.cum[-1]:
-            return int(np.searchsorted(self.cum, u, side="right")) + 1
-        return self._tail_quantile(u)
+    def draw(self, t: float) -> int:
+        """The smallest n with S(n) < t, for t = 1 - u in (0, 1]."""
+        if self.neg_survival[-1] <= -t:
+            self._grow_to(-t)
+        if self.neg_survival[-1] > -t:
+            return int(np.searchsorted(self.neg_survival, -t, side="right")) + 1
+        return self._tail_quantile(t)
 
     def draw_array(self, u: np.ndarray) -> np.ndarray:
-        """Jumps for an array of uniforms, each as :meth:`draw` gives it.
+        """Jumps for an array of uniforms, each as :meth:`draw` gives it at 1 - u.
 
-        int64, unless the closed-form tail gives values large enough that a
-        sum of the jumps could pass 2^62 - 1; then an object array of ints.
+        u is overwritten. int64, unless the closed-form tail gives values large
+        enough that a sum of the jumps could pass 2^62 - 1; then object ints.
         """
-        if u.size:
-            self._grow_to(float(u.max()))
-        jumps = np.searchsorted(self.cum, u, side="right") + 1
-        beyond = np.flatnonzero(u > self.cum[-1])
+        neg_t = np.subtract(u, 1.0, out=u)  # -t, exact on numpy's 2^-53 grid
+        if neg_t.size:
+            self._grow_to(float(neg_t.max()))
+        jumps = np.searchsorted(self.neg_survival, neg_t, side="right") + 1
+        beyond = np.flatnonzero(neg_t >= self.neg_survival[-1])
         if beyond.size:
-            tail = [self._tail_quantile(float(u[i])) for i in beyond]
-            if sum(tail) > _BINOMIAL_EXACT_MAX - _TABLE_CAP * u.size:
+            tail = [self._tail_quantile(-float(neg_t[i])) for i in beyond]
+            if sum(tail) > _INT64_SAFE_MAX - _TABLE_CAP * neg_t.size:
                 jumps = jumps.astype(object)
             jumps[beyond] = tail
         return jumps
 
-    def _tail_quantile(self, u: float) -> int:
-        # smallest n with S(n) <= 1-u, from the closed-form survival:
-        # S(n) = rho/n at alpha = 1, else (1-rho) Gamma(n+1-a)/(Gamma(1-a) n!)
-        alpha, rho = self.params.alpha, self.params.rho
-        target = 1.0 - u
-        if alpha == 2.0:  # support is {1, 2}; only float dust lands here
-            return 2
+    def _tail_quantile(self, t: float) -> int:
+        # smallest n with S(n) <= t, from the closed-form survival:
+        # S(n) = 1/n at alpha = 1, else Gamma(n+1-a)/(Gamma(2-a) n!)
+        alpha = self.alpha
         if alpha == 1.0:
-            return max(1, math.ceil(rho / target))
-        log_target = math.log(target)
-        const = math.log(abs(1.0 - rho)) - math.lgamma(1.0 - alpha)
+            return math.ceil(1.0 / t)
+        log_t = math.log(t)
+        const = -math.lgamma(2.0 - alpha)
         series = 0.5 * alpha * (alpha - 1.0)
 
         def log_survival(n: int) -> float:
@@ -234,57 +238,52 @@ class _BsibTable:
             log_n = math.log(n)
             return const - alpha * log_n + series * math.exp(-log_n)
 
-        # bisect on S(lo) > target >= S(hi), with S(0) = 1
-        lo, hi = 0, int(self.cum.size)
-        while log_survival(hi) > log_target:
-            lo = hi
-            hi *= 2
-        while hi - lo > 1:
+        # the answer lies in [n0/2, 2 n0 + 2] (Gautschi's inequality) for the asymptotic
+        # inverse n0 = (Gamma(2-a) t)^(-1/a), at least 1, built exactly from mantissa and exponent
+        log2_n0 = max((const - log_t) / (alpha * math.log(2.0)), 0.0)
+        if log2_n0 > _TAIL_BITS_MAX:
+            raise DomainError(f"a Sibuya jump at alpha = {alpha} passes 2^{_TAIL_BITS_MAX}")
+        e = math.floor(log2_n0)
+        n0 = (int(2.0 ** (log2_n0 - e) * 2.0**52) << e) >> 52
+        # bisect on S(lo) > t >= S(hi) to the relative width double precision resolves
+        lo, hi = n0 >> 1, 2 * n0 + 2
+        while hi - lo > max(1, hi >> 45):
             mid = (lo + hi) // 2
-            if log_survival(mid) > log_target:
+            if log_survival(mid) > log_t:
                 lo = mid
             else:
                 hi = mid
         return hi
 
 
-# keyed on the two floats: hashing them costs half of hashing a BSibParams
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _bsib_table(alpha: float, rho: float) -> _BsibTable:
-    return _BsibTable(BSibParams(alpha, rho))
+def _core_table(alpha: float) -> _CoreTable:
+    return _CoreTable(alpha)
 
 
 def sample_bsib(b: BSibParams, rng: RngStream) -> int:
-    """One broad-Sibuya variate (support {1, 2, ...}) by inverse CDF."""
-    return _bsib_table(b.alpha, b.rho).draw(rng.random())
+    """One broad-Sibuya variate by inverse CDF: 1 if t = 1 - u > w, else a core jump at t/w."""
+    t = 1.0 - rng.random()
+    w = b.rho if b.alpha == 1.0 else (1.0 - b.rho) * (1.0 - b.alpha)
+    if t > w:
+        return 1
+    return _core_table(b.alpha).draw(t / w)
 
 
-def _split_rates(alpha: float, gamma: float, delta: float) -> tuple[float, float, float]:
-    """(Poisson rate, core compound rate, core rho) of DS(alpha, gamma, delta).
+def _split_rates(alpha: float, gamma: float, delta: float) -> tuple[float, float]:
+    """(Poisson rate, core compound rate) of DS(alpha, gamma, delta).
 
-    The core law DS(alpha, gamma, alpha gamma) has compound rate
-    alpha gamma - gamma = (alpha - 1) gamma, or gamma at alpha = 1, and its
-    jump law's rho = alpha gamma / rate is the boundary value of its
-    interval. Neither depends on delta, so neither rounds away at large delta.
-    The Poisson rate is >= 0 as computed: DSParams checked delta against the
-    same rounded product alpha gamma.
+    The core rate (alpha - 1) gamma, or gamma at alpha = 1, has no delta in it.
+    The Poisson rate is >= 0 as computed: DSParams checked delta >= alpha gamma.
     """
-    rate = delta - alpha * gamma
-    if alpha == 1.0:
-        return rate, gamma, 1.0
-    if alpha < 1.0:
-        return rate, (1.0 - alpha) * -gamma, -alpha / (1.0 - alpha)
-    return rate, (alpha - 1.0) * gamma, alpha / (alpha - 1.0)
+    return delta - alpha * gamma, gamma if alpha == 1.0 else (alpha - 1.0) * gamma
 
 
 def sample_ds(p: DSParams, rng: RngStream, size: int | None = None) -> int | np.ndarray:
     """DS variates: Poisson(delta - alpha gamma) plus the core law's jumps each.
 
-    Each variate is a Poisson(delta - alpha gamma) draw plus a Poisson count
-    of broad-Sibuya jumps of the core law DS(alpha, gamma, alpha gamma), whose
-    rate |1 - alpha| |gamma| does not grow with delta (see the module notes).
-    The stream is consumed in that order: the Poisson part, the jump counts,
-    then the jumps; a rate of 0 draws nothing.
+    The stream is consumed in that order (see the module notes): the Poisson
+    part, the jump counts, then the jumps; a rate of 0 draws nothing.
 
     Without size, one variate as an int. With size=n, an array of n: int64,
     or an object array of exact ints when a variate passes 2^62 - 1.
@@ -294,15 +293,15 @@ def sample_ds(p: DSParams, rng: RngStream, size: int | None = None) -> int | np.
     """
     if size is not None:
         return _sample_ds_array(p, rng, size)
-    rate, core_rate, rho = _split_rates(p.alpha, p.gamma, p.delta)
+    rate, core_rate = _split_rates(p.alpha, p.gamma, p.delta)
     total = _poisson(rate, rng)
     count = _poisson(core_rate, rng)
     if p.alpha == 2.0:  # every core jump is 2
         return total + 2 * count
     if count:
-        draw = _bsib_table(p.alpha, rho).draw
+        draw = _core_table(p.alpha).draw
         for _ in range(count):
-            total += draw(rng.random())
+            total += draw(1.0 - rng.random())
     return total
 
 
@@ -310,20 +309,20 @@ def _sample_ds_array(p: DSParams, rng: RngStream, size: int) -> np.ndarray:
     size = int(size)
     if size < 0:
         raise DomainError(f"size must be >= 0, got {size}")
-    rate, core_rate, rho = _split_rates(p.alpha, p.gamma, p.delta)
+    rate, core_rate = _split_rates(p.alpha, p.gamma, p.delta)
     total = _poisson_array(rate, size, rng)
     counts = _poisson_array(core_rate, size, rng)
     if p.alpha == 2.0:  # every core jump is 2
         total = total + 2 * counts
     elif counts.any():
-        total = total + _jump_sums(counts, _bsib_table(p.alpha, rho), rng._gen)
+        total = total + _jump_sums(counts, _core_table(p.alpha), rng._gen)
     # each part stays below 2^62 in int64, so their sum cannot wrap
-    if total.size and total.max() > _BINOMIAL_EXACT_MAX:
+    if total.size and total.max() > _INT64_SAFE_MAX:
         return total.astype(object)
     return total.astype(np.int64, copy=False)
 
 
-def _jump_sums(counts: np.ndarray, table: _BsibTable, gen: Generator) -> np.ndarray:
+def _jump_sums(counts: np.ndarray, table: _CoreTable, gen: Generator) -> np.ndarray:
     """Per-variate sums of counts[i] jumps each, drawn in passes of whole variates."""
     size = counts.size
     bounds = np.zeros(size + 1, dtype=np.int64)  # variate i owns jumps bounds[i]:bounds[i+1]
@@ -346,7 +345,7 @@ def thin(x: int | np.ndarray, a: float, rng: RngStream) -> int | np.ndarray:
     """Binomial thinning a o x: keep each of x unit counts with probability a.
 
     x is one count, or an array of counts (int64, or object holding ints).
-    Counts up to 2^62 - 1 are thinned exactly by numpy's binomial. Larger
+    Counts up to 1e17 are thinned exactly by numpy's binomial. Larger
     counts take the normal limit N(xa, xa(1-a)), rounded and clipped to
     [0, x], whose error is O((xa(1-a))^-1/2) in total variation; it is
     computed in integer arithmetic, so counts past the float range thin too.

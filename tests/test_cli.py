@@ -47,6 +47,17 @@ class TestPmfCommand:
         assert code == 0
         assert err == ""
 
+    def test_rate_past_int32_exponent_exits_three(self, capsys):
+        # every mass rounds to 0 at compound rate ~2e10: an honest, empty table
+        code, out, err = run_cli(
+            capsys, "pmf", "--alpha", "1.5", "--gamma", "1", "--delta", "1e10",
+            "--nmax", "5",
+        )
+        _, rows = csv_rows(out)
+        assert code == 3
+        assert [float(row[1]) for row in rows] == [0.0] * 6
+        assert "tail mass" in err
+
     def test_invalid_params_exit_two(self, capsys):
         code, out, err = run_cli(
             capsys, "pmf", "--alpha", "2", "--gamma", "1", "--delta", "1.5",
@@ -139,6 +150,27 @@ class TestSampleCommand:
         assert code == 2
         assert out == ""
         assert "digits" in err
+
+    def test_small_alpha_tail_cost_is_bounded(self, capsys):
+        # about 20 jumps from the closed-form tail, of up to ~265,000 bits each
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "sample", "--alpha", "0.0002", "--gamma", "-1", "--delta", "0",
+            "--n", "20", "--seed", "0",
+        )
+        assert time.perf_counter() - start < 0.2
+        assert code == 2
+        assert "digits" in err
+
+    def test_tiny_alpha_named_error(self, capsys):
+        # a deep-tail jump would take an integer of ~5e10 bits: refused, not built
+        code, out, err = run_cli(
+            capsys, "sample", "--alpha", "1e-9", "--gamma", "-1", "--delta", "0",
+            "--n", "20", "--seed", "0",
+        )
+        assert code == 2
+        assert out == ""
+        assert "alpha" in err
 
     def test_delta_past_double_resolution(self, capsys):
         # rho = delta/(delta - gamma) rounds to 1; the sampler never forms it

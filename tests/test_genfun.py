@@ -90,6 +90,20 @@ class TestPgf:
             assert comp.imag == pytest.approx(0.0, abs=1e-15)
             assert comp.real == pytest.approx(real, rel=1e-14)
 
+    @pytest.mark.parametrize("raw", [(0.5, -1.0, 0.0), (1.3, 1.0, 2.0), (1.0, 1.0, 2.0)])
+    def test_numpy_complex_same_digits_as_builtin(self, raw):
+        # one argument rule: a numpy.complex128 is converted, not computed on
+        p = DSParams(*raw)
+        rng = np.random.default_rng(0)
+        points = np.sqrt(rng.random(2000)) * np.exp(2j * math.pi * rng.random(2000))
+        for z in points:
+            got = pgf(p, z)
+            assert type(got) is complex
+            assert got == pgf(p, complex(z))
+        # complex64 is no subclass of complex; its imaginary part must not be dropped
+        z = np.complex64(0.5j)
+        assert pgf(p, z) == pgf(p, complex(z)) != pgf(p, 0.0)
+
 
 class TestFcgf:
     def test_examples(self):

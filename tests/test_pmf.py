@@ -194,6 +194,13 @@ class TestDsPmfRecursion:
                 oracles.poisson_pmf(800.0, n), rel=1e-9
             )
 
+    def test_rate_past_int32_exponent(self):
+        # lam ~ 2e12 puts f(0)'s shared exponent past the int32 np.ldexp takes
+        with pytest.warns(TailBoundUnreachable):
+            table = ds_pmf(DSParams(1.5, 1.0, 1e12), n_max=10)
+        assert not table.masses.any()
+        assert table.tail_mass == 1.0
+
     def test_convolution_closure(self):
         pairs = [
             (DSParams(2.0, 1.0, 2.0), DSParams(2.0, 0.5, 3.0)),

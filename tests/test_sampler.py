@@ -30,8 +30,8 @@ from dstable.pmf import bsib_pmf_array
 from dstable.sampler import (
     _POISSON_EXACT_MAX,
     _TABLE_CACHE_SIZE,
-    _BsibTable,
-    _bsib_table,
+    _CoreTable,
+    _core_table,
     _reference_table,
     _split_rates,
     _support_cut,
@@ -205,17 +205,24 @@ def _reference_tail_quantile(alpha: float, rho: float, target: float) -> int:
         return int(mpmath.ceil(mpmath.exp(hi)))
 
 
+def _core_weight(alpha: float, rho: float) -> float:
+    """w of BSib(alpha, rho) = 1 with probability 1 - w, else a Sibuya core jump."""
+    return rho if alpha == 1.0 else (1.0 - rho) * (1.0 - alpha)
+
+
 class TestBsibTail:
+    """Broad-Sibuya quantiles, found as the core's at t/w."""
+
     @pytest.mark.parametrize(
         "alpha, rho", [(0.05, 0.0), (0.3, -0.2), (0.5, 0.0), (1.3, 2.0), (1.5, 1.2)]
     )
     @pytest.mark.parametrize("k", [20, 30, 40, 53])
     def test_tail_quantile_against_mpmath(self, alpha, rho, k):
         # 1 - u = 2^-k exactly; the answers run from ~1e3 to ~1e318
-        table = _BsibTable(BSibParams(alpha, rho))
-        got = table._tail_quantile(1.0 - 2.0**-k)
+        table = _CoreTable(alpha)
+        got = table._tail_quantile(2.0**-k / _core_weight(alpha, rho))
         want = _reference_tail_quantile(alpha, rho, 2.0**-k)
-        assert want > table.cum.size
+        assert want > table.neg_survival.size
         assert abs(got - want) <= 1 + want // 10**12, (got, want)
 
     @pytest.mark.parametrize(
@@ -225,21 +232,54 @@ class TestBsibTail:
     )
     def test_in_table_quantile_against_mpmath(self, alpha, rho, target):
         # the answer lies inside the fresh 64-entry table
-        table = _BsibTable(BSibParams(alpha, rho))
+        table = _CoreTable(alpha)
         want = _reference_tail_quantile(alpha, rho, target)
-        assert want <= table.cum.size
-        assert table._tail_quantile(1.0 - target) == want
+        assert want <= table.neg_survival.size
+        assert table._tail_quantile(target / _core_weight(alpha, rho)) == want
 
     @pytest.mark.parametrize("target, want", [(0.5, 1), (0.4, 2), (0.25, 2), (0.15, 4), (2.0**-20, 2**19)])
     def test_alpha_one_quantile(self, target, want):
-        # S(n) = rho / n exactly; rho = 0.5
-        assert _BsibTable(BSibParams(1.0, 0.5))._tail_quantile(1.0 - target) == want
+        # S(n) = rho / n exactly; rho = 0.5 is w, and the core's S(n) = 1/n
+        assert _CoreTable(1.0)._tail_quantile(target / 0.5) == want
 
     def test_table_cache_is_bounded(self):
+        # one table per alpha, whatever rho is
+        _core_table.cache_clear()
         rng = RngStream(21)
         for i in range(1000):
             sample_bsib(BSibParams(0.5, -0.999 + 0.001 * i), rng)
-        assert _bsib_table.cache_info().currsize <= _TABLE_CACHE_SIZE
+        assert _core_table.cache_info().misses == 1
+        for i in range(2 * _TABLE_CACHE_SIZE):
+            _core_table(0.01 * (i + 1))
+        assert _core_table.cache_info().currsize == _TABLE_CACHE_SIZE
+
+    @pytest.mark.parametrize(
+        "alpha, rhos",
+        [
+            (0.05, [-0.05 / (1.0 - 0.05), 0.0, 0.9]),
+            (0.3, [-0.3 / (1.0 - 0.3), -0.2, 0.5]),
+            (0.5, [-1.0, 0.0, 0.99]),
+            (1.0, [0.0, 0.5, 1.0]),
+            (1.3, [1.01, 2.0, 1.3 / (1.3 - 1.0)]),
+            (1.5, [1.2, 2.5, 3.0]),
+            (1.999, [1.001, 1.5, 1.999 / (1.999 - 1.0)]),
+            (2.0, [1.0000001, 1.5, 2.0]),
+        ],
+    )
+    def test_mixture_of_one_and_the_core(self, alpha, rhos):
+        # BSib(alpha, rho) = 1 w.p. 1 - w, else a core jump: p_1 = 1 - w and
+        # p_n = w (S(n-1) - S(n)) for the core survival S, S(1) = 1
+        survival = -_CoreTable(alpha).neg_survival
+        for rho in rhos:
+            w = _core_weight(alpha, rho)
+            want = bsib_pmf_array(BSibParams(alpha, rho), survival.size)[1:]
+            got = np.append(1.0 - w, w * -np.diff(survival))
+            assert np.max(np.abs(got - want)) <= 2.0**-52, rho
+
+    def test_tiny_alpha_quantile_refused_before_it_is_built(self):
+        # 2^-53 at alpha = 1e-9 would need an integer of ~5e10 bits
+        with pytest.raises(DomainError, match="alpha"):
+            _CoreTable(1e-9)._tail_quantile(2.0**-53)
 
 
 # the first 20 scalar draws of Poisson(delta - alpha gamma) plus the core law,
@@ -340,14 +380,15 @@ class TestPoissonPlusCore:
     @pytest.mark.parametrize("raw", PARAM_GRID + SPLIT_LAWS, ids=str)
     def test_rates_match_core_compound_form(self, raw):
         alpha, gamma, delta = raw
-        rate, core_rate, rho = _split_rates(alpha, gamma, delta)
+        rate, core_rate = _split_rates(alpha, gamma, delta)
         assert rate == delta - alpha * gamma >= 0.0
         if gamma == 0.0:  # the core is the point mass at zero
             assert core_rate == 0.0
             return
         c = ds_to_compound(DSParams(alpha, gamma, alpha * gamma))
         assert core_rate == pytest.approx(c.lam, rel=1e-14)
-        assert rho == pytest.approx(c.summand.rho, rel=1e-14)
+        # its jump law is the Sibuya core itself: never a mixed-in 1
+        assert _core_weight(alpha, c.summand.rho) == pytest.approx(1.0, rel=1e-14)
 
     @pytest.mark.parametrize("raw", SPLIT_LAWS, ids=str)
     def test_chi_square_against_pmf(self, raw):
@@ -441,6 +482,15 @@ class TestThin:
         n = 10**5
         total = sum(thin(100, 0.3, rng) for _ in range(n))
         assert abs(total / n - 30.0) < 0.2
+
+    def test_variance_within_int64(self):
+        # numpy's binomial reads its variance 4-6% high at 4e18 trials
+        x = 4 * 10**18
+        n = 10**5
+        mean, var = _exact_mean_var(thin(np.full(n, x), 0.5, RngStream(29)))
+        want = x // 4
+        assert abs(mean - x // 2) < 6.0 * math.sqrt(want / n)
+        assert abs(var - want) < 6.0 * want * math.sqrt(2.0 / n)
 
     def test_huge_count_normal_limit(self):
         rng = RngStream(12)
