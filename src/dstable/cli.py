@@ -9,6 +9,7 @@ error, 3 honest-but-incomplete table, 4 statistical test failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -72,14 +73,30 @@ def _json_render(obj) -> str:
     raise TypeError(f"cannot render {type(obj)!r}")
 
 
-def _emit_table(fmt: str, schema: str, header: list[str], rows: list[list]) -> None:
+def _cells(column, fmt: str) -> list[str]:
+    """One table column as text, dispatched once on its first value's type.
+
+    Floats print at 17 significant digits, ints as they are, and strings as
+    JSON strings in JSON output. Table values are finite.
+    """
+    if isinstance(column[0], float):
+        return [format(v, ".17g") for v in column]
+    if isinstance(column[0], str) and fmt == "json":
+        return [json.dumps(v) for v in column]
+    return [str(v) for v in column]
+
+
+def _emit_table(fmt: str, schema: str, header: list[str], columns: list) -> None:
+    """Write equal-length, nonempty columns as one CSV table or one JSON object."""
+    cells = [_cells(column, fmt) for column in columns]
     if fmt == "csv":
-        print(",".join(header))
-        for row in rows:
-            print(",".join(_fmt(v) for v in row))
+        text = "\n".join([",".join(header), *map(",".join, zip(*cells))])
     else:
-        columns = {name: [row[i] for row in rows] for i, name in enumerate(header)}
-        print(_json_render({"schema": schema} | columns))
+        body = "".join(
+            f", {json.dumps(name)}: [{', '.join(col)}]" for name, col in zip(header, cells)
+        )
+        text = f'{{"schema": {json.dumps(schema)}{body}}}'
+    sys.stdout.write(text + "\n")
 
 
 def _emit_report(fmt: str, schema: str, report: dict) -> None:
@@ -118,12 +135,12 @@ def _cmd_pmf(args, with_pmf_column: bool = True) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         table = ds_pmf(p, n_max=args.nmax, tail_bound=args.tail_bound)
+    n = range(len(table))
     cum = table.cdf_values.tolist()
     if with_pmf_column:
-        rows = [[n, m, c] for n, (m, c) in enumerate(zip(table.masses.tolist(), cum))]
-        _emit_table(args.format, "pmf", ["n", "pmf", "cdf"], rows)
+        _emit_table(args.format, "pmf", ["n", "pmf", "cdf"], [n, table.masses.tolist(), cum])
     else:
-        _emit_table(args.format, "cdf", ["n", "cdf"], [[n, c] for n, c in enumerate(cum)])
+        _emit_table(args.format, "cdf", ["n", "cdf"], [n, cum])
     if not table.tail_bound_met:
         print(
             f"warning: tail mass {_fmt(table.tail_mass)} still exceeds bound "
@@ -146,13 +163,14 @@ def _cmd_sample(args) -> int:
     values = [sample_ds(p, rng) for _ in range(args.n)]
     # render everything first, so a failure leaves stdout empty
     try:
-        if args.format == "csv":
-            text = "\n".join(["value", *map(str, values)])
-        else:
-            text = _json_render({"schema": "sample", "seed": args.seed, "values": values})
+        cells = list(map(str, values))
     except ValueError as exc:  # str(int) refuses ints past the interpreter's limit
         limit = sys.get_int_max_str_digits()
         raise DstableError(f"a variate has more than {limit} digits to print") from exc
+    if args.format == "csv":
+        text = "\n".join(["value", *cells])
+    else:
+        text = f'{{"schema": "sample", "seed": {args.seed}, "values": [{", ".join(cells)}]}}'
     print(text)
     return 0
 
@@ -245,15 +263,16 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_plot_data(args) -> int:
-    rows = []
+    labels, ns, masses = [], [], []
     for label, alpha, gamma, delta in _PLOT_SET:
         p = DSParams(alpha, gamma, delta)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # plot window truncation is intended
             table = ds_pmf(p, n_max=args.nmax, tail_bound=args.tail_bound)
-        for n, mass in enumerate(table.masses):
-            rows.append([label, n, float(mass)])
-    _emit_table(args.format, "plot-data", ["label", "n", "pmf"], rows)
+        labels += [label] * len(table)
+        ns += range(len(table))
+        masses += table.masses.tolist()
+    _emit_table(args.format, "plot-data", ["label", "n", "pmf"], [labels, ns, masses])
     return 0
 
 
@@ -267,7 +286,13 @@ def _add_format_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The dstable parser, built on first use and shared by every later call.
+
+    Parsing leaves no state on it: each parse_args call returns a fresh
+    namespace with every default filled in.
+    """
     parser = argparse.ArgumentParser(
         prog="dstable",
         description="Discrete stable distribution tables, checks, and sampling.",

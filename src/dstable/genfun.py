@@ -211,7 +211,10 @@ def stability_residual(
     for z in zgrid:
         if not 0.0 <= z < 1.0:
             raise DomainError(f"z grid values must lie in [0, 1), got {z}")
-        lhs = pgf(p, z) * math.exp(mu_used * (z - 1.0))
+        try:
+            lhs = pgf(p, z) * math.exp(mu_used * (z - 1.0))
+        except OverflowError:  # mu far below 0, where G(z) is tiny: add the exponents
+            lhs = math.exp(fcgf(p, z - 1.0) + mu_used * (z - 1.0))
         rhs = _pgf_from_one(p, rho * (1.0 - z)) * _pgf_from_one(p, frac2 * (1.0 - z))
         worst = max(worst, abs(lhs - rhs))
     return StabilityReport(rho=rho, mu=mu_used, max_residual=worst, grid=zgrid)

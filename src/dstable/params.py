@@ -10,6 +10,7 @@ region.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -45,6 +46,17 @@ NEAR_ALPHA_ONE_TOL = 1e-8
 def cos_half_pi(alpha: float) -> float:
     """cos(pi*alpha/2), range-reduced so the sign is exact near alpha = 1, 2."""
     return math.sin(0.5 * math.pi * (1.0 - alpha))
+
+
+def _power(base: float, exponent: float, name: str) -> float:
+    """base**exponent, or a DomainError where it passes the float range."""
+    try:
+        return base**exponent
+    except OverflowError:
+        raise DomainError(
+            f"{name} = {base!r}**{exponent!r} is past the float range "
+            f"(max {sys.float_info.max!r})"
+        ) from None
 
 
 def _require_finite(value: float, exc: type[ParameterError], name: str) -> float:
@@ -206,7 +218,7 @@ class ESParams:
         else:
             if sigma <= 0.0:
                 raise ParameterError(f"sigma must be > 0 for alpha != 1, got {sigma}")
-            bound = -alpha / cos_half_pi(alpha) * sigma**alpha
+            bound = -alpha / cos_half_pi(alpha) * _power(sigma, alpha, "sigma**alpha")
         if delta < bound:
             raise DeltaLimViolation(
                 f"location too small for Poisson mixing: delta = {delta} < {bound}"
@@ -281,7 +293,7 @@ def es_to_ds(e: ESParams) -> DSParams:
     if e.alpha == 1.0:
         gamma = e.sigma * 2.0 / math.pi
     else:
-        gamma = -(e.sigma**e.alpha) / cos_half_pi(e.alpha)
+        gamma = -_power(e.sigma, e.alpha, "sigma**alpha") / cos_half_pi(e.alpha)
     delta = _snap_into(e.delta, e.alpha * gamma, lower=True)
     return DSParams(e.alpha, gamma, delta)
 
@@ -295,7 +307,8 @@ def ds_to_es(p: DSParams) -> ESParams:
         raise NoScaleForDegenerate(
             f"no positive scale solves gamma = {p.gamma} at alpha = {p.alpha}"
         )
-    return ESParams(p.alpha, base ** (1.0 / p.alpha), p.delta)
+    sigma = _power(base, 1.0 / p.alpha, "sigma = (-gamma cos(pi alpha/2))**(1/alpha)")
+    return ESParams(p.alpha, sigma, p.delta)
 
 
 def classify(p: DSParams) -> Classification:

@@ -59,6 +59,10 @@ _TABLE_CAP = 1 << 16
 _TABLE_CACHE_SIZE = 32
 # uniforms drawn per pass of the batch sampler; bounds its memory at large lam
 _JUMP_BATCH = 1 << 20
+# the most core jumps one variate may take: a larger count raises a DomainError
+# before any jump is drawn. At the budget one variate's jumps fill one pass of
+# the batch sampler (~18 MB, 0.05 s); a scalar draw loops over them (~4 s).
+_JUMP_BUDGET = _JUMP_BATCH
 # beyond this, lgamma(n+1-a) - lgamma(n+1) cancels; use its asymptotic series
 _ASYMPTOTIC_N = 10**6
 # the longest core jump, in bits, that the closed-form tail builds (2 MB)
@@ -290,6 +294,9 @@ def sample_ds(p: DSParams, rng: RngStream, size: int | None = None) -> int | np.
     size=1 consumes the stream exactly as one call without size does, but
     n > 1 does not match n such calls: the array form draws all n Poisson
     parts and all n jump counts before any jump.
+
+    A variate whose jump count passes 2^20 raises a DomainError before any
+    jump is drawn, so the cost of a variate is bounded whatever gamma is.
     """
     if size is not None:
         return _sample_ds_array(p, rng, size)
@@ -298,6 +305,8 @@ def sample_ds(p: DSParams, rng: RngStream, size: int | None = None) -> int | np.
     count = _poisson(core_rate, rng)
     if p.alpha == 2.0:  # every core jump is 2
         return total + 2 * count
+    if count > _JUMP_BUDGET:
+        raise _jump_budget_error(core_rate)
     if count:
         draw = _core_table(p.alpha).draw
         for _ in range(count):
@@ -315,11 +324,20 @@ def _sample_ds_array(p: DSParams, rng: RngStream, size: int) -> np.ndarray:
     if p.alpha == 2.0:  # every core jump is 2
         total = total + 2 * counts
     elif counts.any():
+        if counts.max() > _JUMP_BUDGET:
+            raise _jump_budget_error(core_rate)
         total = total + _jump_sums(counts, _core_table(p.alpha), rng._gen)
     # each part stays below 2^62 in int64, so their sum cannot wrap
     if total.size and total.max() > _INT64_SAFE_MAX:
         return total.astype(object)
     return total.astype(np.int64, copy=False)
+
+
+def _jump_budget_error(core_rate: float) -> DomainError:
+    return DomainError(
+        f"a variate needs more than {_JUMP_BUDGET} core jumps, the budget per "
+        f"variate (Poisson count at the core jump rate {core_rate:.6g})"
+    )
 
 
 def _jump_sums(counts: np.ndarray, table: _CoreTable, gen: Generator) -> np.ndarray:
@@ -433,8 +451,13 @@ def _support_cut(table: PmfTable, n_samples: int) -> int:
     coverage_cut = int(np.searchsorted(table.cdf_values, coverage, side="left"))
     coverage_cut = min(coverage_cut, len(table) - 1)
     heavy = np.nonzero(n_samples * table.masses >= _MIN_EXPECTED)[0]
-    count_cut = int(heavy[-1]) if heavy.size else 0
-    return max(0, min(coverage_cut, count_cut))
+    if heavy.size == 0 or heavy[0] > coverage_cut:
+        # every sample and the whole expectation would pool into the tail bin
+        raise DomainError(
+            f"no mass of the {len(table)}-entry table expects "
+            f">= {_MIN_EXPECTED:g} of {n_samples} samples: the comparison would be vacuous"
+        )
+    return min(coverage_cut, int(heavy[-1]))
 
 
 def _reference_table(target: DSParams, n_samples: int) -> PmfTable:
@@ -471,7 +494,9 @@ def tv_against_table(
     Bins are the individual support points 0..N plus one pooled tail bin,
     with N chosen by :func:`_support_cut`; the chi-square statistic uses a
     further pooling to expected counts >= 5. Returns (tv, chi2, bins_used).
-    values may be int64 or an object array of exact ints of any size.
+    values may be int64 or an object array of exact ints of any size. A table
+    none of whose individual bins expects 5 samples raises a DomainError: all
+    samples and all expectation would share the tail bin, and TV would read 0.
     """
     cut = _support_cut(table, n_samples)
     # clip before the cast: draws past int64 land in the tail bin too

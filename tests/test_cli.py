@@ -1,14 +1,20 @@
 """CLI surface: formats, exit codes, determinism."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dstable.cli import main
+from dstable import DSParams, ds_pmf
+from dstable.cli import _PLOT_SET, main
 
 import oracles
 
@@ -17,6 +23,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_any(capsys, *argv):
+    """run_cli, with argparse's SystemExit read as the exit code."""
+    try:
+        return run_cli(capsys, *argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
 
 
 def csv_rows(out):
@@ -203,6 +218,18 @@ class TestSampleCommand:
         assert len(values) == 2
         assert all(abs(v - 10**19) < 10 * math.isqrt(10**19) for v in values)
 
+    def test_jump_budget_exits_two(self, capsys):
+        # core rate 5e299: refused before the first jump, not looped over
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "sample", "--alpha", "1.5", "--gamma", "1e300", "--delta", "1e301",
+            "--n", "3",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "core jumps" in err
+
     def test_json_matches_csv_values(self, capsys):
         args = ["sample", "--alpha", "2", "--gamma", "1", "--delta", "3",
                 "--n", "25", "--seed", "11"]
@@ -319,6 +346,31 @@ class TestStabilityTestCommand:
         assert code == 2
         assert "rho" in err
 
+    def test_jump_budget_exits_two(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "stability-test", "--alpha", "1.5", "--gamma", "1e300",
+            "--delta", "1e301", "--rho", "0.5", "--n", "1000",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "core jumps" in err
+
+    @pytest.mark.parametrize(
+        "law", [("1", "0", "2e4"), ("1", "0", "1e5"), ("1.5", "1", "1e12")], ids=str
+    )
+    def test_vacuous_comparison_exits_two(self, capsys, law):
+        # the reference table ends before the law's mass: every bin expects < 5
+        alpha, gamma, delta = law
+        code, out, err = run_cli(
+            capsys, "stability-test", "--alpha", alpha, "--gamma", gamma,
+            "--delta", delta, "--rho", "0.5", "--n", "1000",
+        )
+        assert code == 2
+        assert out == ""
+        assert "vacuous" in err
+
 
 class TestConvertCommand:
     def test_ds_to_compound(self, capsys):
@@ -368,6 +420,22 @@ class TestConvertCommand:
         assert out == ""
         assert "double resolution" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--from", "es", "--to", "ds", "--alpha", "1.5", "--sigma", "1e308",
+             "--delta", "3"),
+            ("--from", "ds", "--to", "es", "--alpha", "0.5", "--gamma=-1e300",
+             "--delta", "0"),
+        ],
+        ids=["es-ds", "ds-es"],
+    )
+    def test_past_float_range_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, "convert", *argv)
+        assert code == 2
+        assert out == ""
+        assert "float range" in err
+
     def test_missing_flags_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "convert", "--from", "ds", "--to", "compound")
         assert code == 2
@@ -415,3 +483,166 @@ class TestExitCodeContract:
         cmd = [sys.executable, "-m", "dstable", "frobnicate"]
         proc = subprocess.run(cmd, capture_output=True, text=True)
         assert proc.returncode == 2
+
+
+def render_rows(fmt, schema, header, rows):
+    """A table as printed one row and one value at a time."""
+
+    def cell(v):
+        if isinstance(v, float):
+            return format(v, ".17g")
+        return json.dumps(v) if isinstance(v, str) and fmt == "json" else str(v)
+
+    if fmt == "csv":
+        return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
+    columns = ", ".join(
+        f"{json.dumps(name)}: [" + ", ".join(cell(row[i]) for row in rows) + "]"
+        for i, name in enumerate(header)
+    )
+    return f'{{"schema": {json.dumps(schema)}, {columns}}}\n'
+
+
+def quiet_pmf(p, nmax, tail_bound):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return ds_pmf(p, n_max=nmax, tail_bound=tail_bound)
+
+
+class TestRepeatedCalls:
+    """main(argv) called many times in one process."""
+
+    def test_one_parser_for_many_calls(self, capsys, monkeypatch):
+        built = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+
+        def counting(parser, **kwargs):
+            built.append(parser.prog)
+            return add_subparsers(parser, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+        for _ in range(3):
+            run_any(capsys, "pmf", "--alpha", "2", "--gamma", "1", "--delta", "2",
+                    "--nmax", "3")
+            run_any(capsys, "convert", "--from", "ds", "--to", "es", "--alpha", "2",
+                    "--gamma", "1", "--delta", "2")
+            run_any(capsys, "pmf", "--alpha", "1")
+            run_any(capsys, "frobnicate")
+        assert len(built) <= 1  # 0 when an earlier test built it
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (["check", "--alpha", "1.5", "--gamma", "1", "--delta", "3", "--rho", "0.3"],
+             ["check", "--alpha", "1.5", "--gamma", "1", "--delta", "3"]),
+            (["pmf", "--alpha", "0.5", "--gamma", "-1", "--delta", "0", "--tail-bound",
+              "1e-6"],
+             ["pmf", "--alpha", "0.5", "--gamma", "-1", "--delta", "0"]),
+            (["stability-test", "--alpha", "2", "--gamma", "1", "--delta", "4", "--rho",
+              "0.6", "--n", "5000", "--seed", "1", "--tv-threshold", "0.1",
+              "--mu-override", "-1"],
+             ["stability-test", "--alpha", "2", "--gamma", "1", "--delta", "4", "--rho",
+              "0.6", "--n", "5000", "--seed", "1", "--tv-threshold", "0.1"]),
+            (["pmf", "--alpha", "1"],
+             ["pmf", "--alpha", "1", "--gamma", "0", "--delta", "2", "--nmax", "5"]),
+        ],
+        ids=["check-rho", "pmf-tail-bound", "stability-mu-override", "usage-error"],
+    )
+    def test_no_state_between_calls(self, capsys, first, second):
+        before = run_any(capsys, *second)
+        other = run_any(capsys, *first)
+        after = run_any(capsys, *second)
+        assert after == before
+        assert other != before  # the first call's flag changes the answer
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("nmax", [0, 1, 7, 50])
+    @pytest.mark.parametrize("law", [(0.5, -1.0, 0.0), (2.0, 1.0, 2.0), (1.5, 1.0, 1000.0)],
+                             ids=str)
+    def test_tables_equal_row_by_row_rendering(self, capsys, fmt, nmax, law):
+        flags = ["--alpha", repr(law[0]), "--gamma", repr(law[1]), "--delta", repr(law[2]),
+                 "--nmax", str(nmax), "--format", fmt]
+        table = quiet_pmf(DSParams(*law), nmax, 1e-12)
+        n = range(len(table))
+        masses, cum = table.masses.tolist(), table.cdf_values.tolist()
+        _, out, _ = run_cli(capsys, "pmf", *flags)
+        assert out == render_rows(fmt, "pmf", ["n", "pmf", "cdf"],
+                                  [list(row) for row in zip(n, masses, cum)])
+        _, out, _ = run_cli(capsys, "cdf", *flags)
+        assert out == render_rows(fmt, "cdf", ["n", "cdf"], [list(row) for row in zip(n, cum)])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("nmax", [0, 1, 20])
+    def test_plot_data_equals_row_by_row_rendering(self, capsys, fmt, nmax):
+        rows = []
+        for label, alpha, gamma, delta in _PLOT_SET:
+            table = quiet_pmf(DSParams(alpha, gamma, delta), nmax, 1e-8)
+            rows += [[label, n, float(m)] for n, m in enumerate(table.masses)]
+        code, out, _ = run_cli(capsys, "plot-data", "--nmax", str(nmax), "--format", fmt)
+        assert code == 0
+        assert out == render_rows(fmt, "plot-data", ["label", "n", "pmf"], rows)
+
+
+# magnitudes log-uniform from 1e-20 up to 1e308
+MAGNITUDES = st.floats(min_value=-20.0, max_value=308.0).map(lambda e: 10.0**e)
+ALPHAS = st.one_of(
+    st.sampled_from([1.0, 2.0, 1.0 - 1e-9, 1.0 + 1e-9, 1e-6]),
+    st.floats(min_value=0.0, max_value=2.0, exclude_min=True),
+)
+CONTRACT = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+
+def exit_code(*argv) -> int:
+    """main's exit code, output discarded; argparse errors exit 2 via SystemExit."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(list(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+def ds_flags(alpha, m1, m2):
+    """Flags of an admissible law when the magnitudes allow one: gamma signed by alpha."""
+    gamma = -m1 if alpha < 1.0 else m1
+    delta = alpha * gamma + m2 if alpha >= 1.0 else m2
+    return [f"--alpha={alpha!r}", f"--gamma={gamma!r}", f"--delta={delta!r}"]
+
+
+def admissible_rho(alpha, u):
+    """A rho in BSib(alpha, rho)'s admissible range, placed at the fraction u of it."""
+    if alpha < 1.0:
+        lo = -alpha / (1.0 - alpha)
+        return min(lo + u * (1.0 - lo), math.nextafter(1.0, 0.0))
+    if alpha == 1.0:
+        return u
+    hi = alpha / (alpha - 1.0)
+    return max(1.0 + u * (hi - 1.0), math.nextafter(1.0, 2.0))
+
+
+class TestExitContractProperty:
+    """convert and check exit 0, 2, 3 or 4 at any magnitude a double holds."""
+
+    @CONTRACT
+    @given(ALPHAS, MAGNITUDES, MAGNITUDES, st.sampled_from(["compound", "es"]))
+    def test_convert_from_ds(self, alpha, m1, m2, target):
+        argv = ["convert", "--from", "ds", "--to", target, *ds_flags(alpha, m1, m2)]
+        assert exit_code(*argv) in (0, 2, 3, 4)
+
+    @CONTRACT
+    @given(ALPHAS, MAGNITUDES, st.floats(min_value=0.0, max_value=1.0))
+    def test_convert_from_compound(self, alpha, lam, u):
+        argv = ["convert", "--from", "compound", "--to", "ds", f"--alpha={alpha!r}",
+                f"--lam={lam!r}", f"--rho={admissible_rho(alpha, u)!r}"]
+        assert exit_code(*argv) in (0, 2, 3, 4)
+
+    @CONTRACT
+    @given(ALPHAS, MAGNITUDES, MAGNITUDES, st.booleans())
+    def test_convert_from_es(self, alpha, sigma, m, negative):
+        delta = -m if negative else m
+        argv = ["convert", "--from", "es", "--to", "ds", f"--alpha={alpha!r}",
+                f"--sigma={sigma!r}", f"--delta={delta!r}"]
+        assert exit_code(*argv) in (0, 2, 3, 4)
+
+    @CONTRACT
+    @given(ALPHAS, MAGNITUDES, MAGNITUDES)
+    def test_check(self, alpha, m1, m2):
+        assert exit_code("check", *ds_flags(alpha, m1, m2)) in (0, 2, 3, 4)

@@ -316,6 +316,12 @@ class TestStability:
         for rho in RHO_GRID:
             assert stability_residual(p, rho).max_residual <= 1e-12, rho
 
+    def test_far_negative_shift(self):
+        # mu = -865 at rho = 0.1: e^{mu (z - 1)} alone overflows, G(z) e^{mu (z - 1)} does not
+        p = DSParams(0.5, -1.0, 2000.0)
+        for rho in RHO_GRID:
+            assert stability_residual(p, rho).max_residual < 1e-12, rho
+
     def test_rho_domain_with_explicit_mu(self):
         p = DSParams(2.0, 1.0, 4.0)
         for rho in (0.0, 1.0, -0.5, 3.0):

@@ -233,6 +233,13 @@ class TestESConversion:
             ESParams(1.0, -0.5, 5.0)
         ESParams(1.0, 0.0, 0.0)  # degenerate mixing is allowed at alpha = 1
 
+    def test_past_float_range_named(self):
+        # sigma**alpha and (-gamma cos(pi alpha/2))**(1/alpha) pass 1.8e308
+        with pytest.raises(DomainError, match="float range"):
+            es_to_ds(ESParams(1.5, 1e308, 3.0))
+        with pytest.raises(DomainError, match="float range"):
+            ds_to_es(DSParams(0.5, -1e300, 0.0))
+
     def test_round_trip(self):
         rng = np.random.default_rng(20240803)
         for _ in range(200):

@@ -1,6 +1,7 @@
 """Variate generation: determinism, distributional fidelity, operators."""
 
 import math
+import time
 import warnings
 
 import mpmath
@@ -28,6 +29,8 @@ from dstable import (
 from dstable.errors import DomainError, TailBoundUnreachable
 from dstable.pmf import bsib_pmf_array
 from dstable.sampler import (
+    _JUMP_BATCH,
+    _JUMP_BUDGET,
     _POISSON_EXACT_MAX,
     _TABLE_CACHE_SIZE,
     _CoreTable,
@@ -586,6 +589,14 @@ class TestStabilityExperiment:
         with pytest.raises(DomainError):
             stability_experiment(p, 0.5, 100, RngStream(0))
 
+    @pytest.mark.parametrize(
+        "raw", [(1.0, 0.0, 2e4), (1.0, 0.0, 1e5), (1.5, 1.0, 1e12)], ids=str
+    )
+    def test_vacuous_comparison_refused(self, raw):
+        # the reference table ends before the mass: samples and expectation share the tail bin
+        with pytest.raises(DomainError, match="vacuous"):
+            stability_experiment(DSParams(*raw), 0.5, 1000, RngStream(21))
+
     def test_deterministic(self):
         r1 = stability_experiment(DSParams(2.0, 1.0, 4.0), 0.6, 2000, RngStream(20))
         r2 = stability_experiment(DSParams(2.0, 1.0, 4.0), 0.6, 2000, RngStream(20))
@@ -642,6 +653,32 @@ class TestReferenceTable:
         assert len(_reference_table(target, 2500)) <= 256
 
 
+class TestJumpBudget:
+    # core rate (alpha - 1) gamma = 5e6, past the 2^20 budget
+    HUGE = DSParams(1.5, 1e7, 1.5e7)
+
+    def test_one_variate_fits_one_pass(self):
+        assert _JUMP_BUDGET <= _JUMP_BATCH
+
+    @pytest.mark.parametrize("size", [None, 1, 5])
+    def test_refused_before_any_jump(self, size):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="core jumps"):
+            sample_ds(self.HUGE, RngStream(41), size=size)
+        assert time.perf_counter() - start < 0.5
+
+    def test_under_budget_draws(self):
+        # core rate 1e6, counts within ~50 standard deviations of it
+        values = sample_ds(DSParams(1.5, 2e6, 3e6), RngStream(42), size=2)
+        assert values.dtype == np.int64
+        assert np.all(values > 2 * 10**6)
+
+    def test_hermite_takes_no_jumps(self):
+        # every core jump is 2, so the count is never looped over
+        values = sample_ds(DSParams(2.0, 1e7, 2e7), RngStream(43), size=3)
+        assert np.all(values % 2 == 0)
+
+
 class TestTvAgainstTable:
     def test_object_array_past_int64(self):
         table = ds_pmf(DSParams(1.0, 0.0, 3.0), n_max=100, tail_bound=1e-12)
@@ -649,6 +686,14 @@ class TestTvAgainstTable:
         clipped = np.array([0, 1, 2, 3, len(table)] * 400, dtype=np.int64)
         expected = tv_against_table(clipped, table, 2000)
         assert tv_against_table(exact, table, 2000) == expected
+
+
+    def test_vacuous_table_refused(self):
+        # Poisson(2e4) has no mass to speak of below 101
+        with pytest.warns(TailBoundUnreachable):
+            table = ds_pmf(DSParams(1.0, 0.0, 2e4), n_max=100, tail_bound=1e-12)
+        with pytest.raises(DomainError, match="vacuous"):
+            tv_against_table(np.zeros(1000, dtype=np.int64), table, 1000)
 
 
 class TestPoolCounts:
