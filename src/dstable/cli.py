@@ -15,7 +15,7 @@ import math
 import sys
 import warnings
 
-from .errors import DegenerateDistribution, DstableError
+from .errors import DstableError
 from .genfun import stability_residual
 from .params import (
     BSibParams,
@@ -126,10 +126,6 @@ def _ds_from_args(args) -> DSParams:
     return DSParams(args.alpha, args.gamma, args.delta)
 
 
-def _inf_or_float(x: float):
-    return math.inf if math.isinf(x) else float(x)
-
-
 def _cmd_pmf(args, with_pmf_column: bool = True) -> int:
     p = _ds_from_args(args)
     with warnings.catch_warnings():
@@ -179,11 +175,10 @@ def _cmd_check(args) -> int:
     p = _ds_from_args(args)
     flags = classify(p)
     moment = moments(p)
-    try:
+    compound = None  # the point mass at zero has no compound form
+    if not flags.is_degenerate:
         c = ds_to_compound(p)
         compound = {"lambda": c.lam, "rho": c.summand.rho}
-    except DegenerateDistribution:
-        compound = None  # point mass at zero has no compound form
     rhos = args.rho if args.rho else [0.1 * k for k in range(1, 10)]
     residual = max(stability_residual(p, r).max_residual for r in rhos)
     report = {
@@ -193,8 +188,8 @@ def _cmd_check(args) -> int:
         "self_decomposable": flags.self_decomposable,
         "is_poisson": flags.is_poisson,
         "is_degenerate": flags.is_degenerate,
-        "mean": _inf_or_float(moment.mean),
-        "variance": _inf_or_float(moment.variance),
+        "mean": moment.mean,
+        "variance": moment.variance,
         "compound": compound,
         "stability_max_residual": residual,
         "near_alpha_one": p.near_alpha_one,

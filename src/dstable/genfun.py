@@ -73,17 +73,21 @@ def pgf(p: DSParams, z: complex | float):
     return _pgf_from_one(p, 1.0 - z)
 
 
-def _pgf_from_one(p: DSParams, w: complex | float):
+def _pgf_from_one(p: DSParams, w: complex | float, w_alpha=None):
     """G(1 - w) for w != 0 with Re(w) >= 0, taking the distance w from 1.
 
     A w far below the spacing of doubles near 1 keeps its digits here, where
     1 - w would round to 1. For w = 1.0 - z, -w * delta is (z - 1) * delta
-    exactly, so pgf's digits do not depend on the route.
+    exactly, so pgf's digits do not depend on the route. Off alpha = 1 a
+    caller may pass w**alpha as w_alpha, for a w that underflows where
+    w**alpha does not.
     """
     lib = cmath if isinstance(w, complex) else math
     if p.alpha == 1.0:
         return lib.exp(-w * p.delta + p.gamma * w * lib.log(w))
-    return lib.exp(-w * p.delta + p.gamma * w**p.alpha)
+    if w_alpha is None:
+        w_alpha = w**p.alpha
+    return lib.exp(-w * p.delta + p.gamma * w_alpha)
 
 
 def fcgf(p: DSParams, t: float) -> float:
@@ -205,8 +209,11 @@ def stability_residual(
         raise DomainError(f"rho must lie in (0, 1), got {rho}")
     mu_used = stability_mu(p, rho) if mu is None else float(mu)
     # below alpha ~ 0.1 frac2 can fall under 1e-8, where 1 - frac2 (1-z)
-    # rounds to 1: the right side takes the distances from 1 directly
-    frac2 = (1.0 - rho**p.alpha) ** (1.0 / p.alpha)
+    # rounds to 1: the right side takes the distances from 1 directly. Below
+    # alpha ~ 1e-3 frac2 underflows to 0, but frac2^alpha = 1 - rho^alpha does
+    # not: (frac2 (1-z))^alpha is taken as that times (1-z)^alpha
+    shrink = 1.0 - rho**p.alpha
+    frac2 = shrink ** (1.0 / p.alpha)
     worst = 0.0
     for z in zgrid:
         if not 0.0 <= z < 1.0:
@@ -215,7 +222,8 @@ def stability_residual(
             lhs = pgf(p, z) * math.exp(mu_used * (z - 1.0))
         except OverflowError:  # mu far below 0, where G(z) is tiny: add the exponents
             lhs = math.exp(fcgf(p, z - 1.0) + mu_used * (z - 1.0))
-        rhs = _pgf_from_one(p, rho * (1.0 - z)) * _pgf_from_one(p, frac2 * (1.0 - z))
+        x = 1.0 - z
+        rhs = _pgf_from_one(p, rho * x) * _pgf_from_one(p, frac2 * x, shrink * x**p.alpha)
         worst = max(worst, abs(lhs - rhs))
     return StabilityReport(rho=rho, mu=mu_used, max_residual=worst, grid=zgrid)
 

@@ -246,8 +246,9 @@ def ds_to_compound(p: DSParams) -> CompoundRep:
     The point mass at zero (gamma = delta = 0) has no representation with a
     positive rate and is rejected. Off alpha = 1, a delta so far above |gamma|
     that delta - gamma rounds to delta (delta/|gamma| past ~1e16) leaves
-    rho = delta/(delta - gamma) at 1, which no double can resolve; that
-    raises a DomainError.
+    rho = delta/(delta - gamma) at 1, which no double can resolve, and a rate
+    delta - gamma past the float range has no double at all; both raise a
+    DomainError.
     """
     if p.gamma == 0.0 and p.delta == 0.0:
         raise DegenerateDistribution(
@@ -259,6 +260,11 @@ def ds_to_compound(p: DSParams) -> CompoundRep:
         rho = _snap_into(rho, 1.0, lower=False)
     else:
         lam = p.delta - p.gamma
+        if math.isinf(lam):
+            raise DomainError(
+                f"the compound rate delta - gamma = {p.delta:.6g} - ({p.gamma:.6g}) "
+                f"passes the float range (~1.8e308)"
+            )
         rho = p.delta / lam
         if rho == 1.0:
             raise DomainError(

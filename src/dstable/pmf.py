@@ -3,9 +3,10 @@
 Two independent routes to the DS PMF: the compound-Poisson mass recursion
 (:func:`ds_pmf`) and coefficient extraction of the PGF on a circle
 (:func:`ds_pmf_inversion`). Their agreement is the package's core numerical
-check. Also provides the closed-form bSib PMF, CDF/quantile lookups on
-computed tables, exact moments, the expanded-representation jump rates, and
-mode analysis.
+check. Also provides the bSib masses w alpha S(n-1)/n from the Sibuya core's
+survival S (a table up to 2^16, its closed form past it; the sampler draws
+from the same), CDF/quantile lookups on computed tables, exact moments, the
+expanded-representation jump rates, and mode analysis.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ _LDEXP_MIN_EXP = -2200
 _LEAF = 64
 # Pushes from blocks at least this long use the FFT, shorter ones np.convolve.
 _FFT_MIN = 512
+
+# Sibuya-core survival tables stop here; past it S(n) takes the closed form
+_TABLE_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -119,36 +123,57 @@ class ModeReport:
     tail_mass_at_scan: float
 
 
+def _core_weight(alpha: float, rho: float) -> float:
+    """w of BSib(alpha, rho): 1 with probability 1 - w, else a Sibuya core jump."""
+    return rho if alpha == 1.0 else (1.0 - rho) * (1.0 - alpha)
+
+
+def _neg_survival(alpha: float, size: int) -> np.ndarray:
+    """-S(1..size) of the Sibuya core at alpha, negated to ascend (size >= 1)."""
+    # 1 - alpha/k in place: at the cap, temporaries would set the peak memory
+    factors = np.arange(1.0, size + 1.0)
+    np.subtract(1.0, np.divide(alpha, factors, out=factors), out=factors)
+    factors[0] = -1.0  # S(1) = 1, negated
+    return np.cumprod(factors, out=factors)
+
+
+def _log_survival(alpha: float, n: int) -> float:
+    """log S(n) = lgamma(n+1-a) - lgamma(n+1) - lgamma(2-a), or -inf at a = 2 (n >= 2).
+
+    From the table cap on, where the log-gamma difference cancels, its
+    Tricomi-Erdelyi series to n^-2 (off by O(n^-3)); n may pass the float range.
+    """
+    const = -math.lgamma(2.0 - alpha) if alpha < 2.0 else -math.inf
+    if n < _TABLE_CAP:
+        return const + math.lgamma(n + 1.0 - alpha) - math.lgamma(n + 1.0)
+    log_n = math.log(n)
+    x = math.exp(-log_n)  # 1/n
+    return const - alpha * log_n + alpha * (alpha - 1.0) * x * (0.5 - (0.5 - alpha) / 6.0 * x)
+
+
 def bsib_pmf(b: BSibParams, n: int) -> float:
-    """Pr(X = n) of the broad-Sibuya law; the support starts at 1."""
+    """Pr(X = n) of the broad-Sibuya law (support from 1); O(1) memory past the table cap."""
     n = int(n)
     if n < 1:
         raise DomainError(f"broad-Sibuya support excludes {n}; need n >= 1")
-    return float(bsib_pmf_array(b, n)[n])
+    if n <= _TABLE_CAP:
+        return float(bsib_pmf_array(b, n)[n])
+    w = _core_weight(b.alpha, b.rho)
+    return w * b.alpha * math.exp(_log_survival(b.alpha, n - 1)) / n
 
 
 def bsib_pmf_array(b: BSibParams, n_max: int) -> np.ndarray:
-    """Masses p_0..p_{n_max} as an array (p_0 = 0), via the ratio recurrence."""
+    """Masses p_0..p_{n_max} (p_0 = 0): p_1 = 1 - w, p_n = w alpha S(n-1)/n."""
     n_max = int(n_max)
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    alpha, rho = b.alpha, b.rho
+    w = _core_weight(b.alpha, b.rho)
     p = np.zeros(n_max + 1)
     if n_max >= 1:
-        p[1] = 1.0 - rho if alpha == 1.0 else rho + (1.0 - rho) * alpha
+        p[1] = max(1.0 - w, 0.0)  # at the boundary rho, where p_1 = 0, w can round past 1
     if n_max >= 2:
-        p[2] = rho / 2.0 if alpha == 1.0 else (1.0 - rho) * alpha * (1.0 - alpha) / 2.0
-    if n_max >= 3:
-        # ratios (k - alpha)/(k + 1) for k = 2..n_max-1, formed in place: the
-        # sampler grows tables to 65536 entries, where temporaries set the
-        # process's peak memory
-        ratios = np.arange(2.0, n_max)
-        numer = ratios - (1.0 if alpha == 1.0 else alpha)
-        ratios += 1.0
-        np.divide(numer, ratios, out=ratios)
-        del numer
-        np.cumprod(ratios, out=ratios)
-        np.multiply(ratios, p[2], out=p[3:])
+        s = _neg_survival(b.alpha, n_max - 1)  # a product of nonnegative terms: no cancellation
+        np.divide(np.multiply(s, -w * b.alpha, out=s), np.arange(2.0, n_max + 1.0), out=p[2:])
     return p
 
 

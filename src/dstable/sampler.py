@@ -12,10 +12,11 @@ every core jump is 2: a Hermite draw is two Poisson draws.
 
 A core jump at t = 1 - u is the smallest n with S(n) < t for the survival
 S(n) = prod_{k=2..n} (1 - alpha/k), from a lazily doubled table; past the
-capped table it inverts S(n) = Gamma(n+1-alpha) / (Gamma(2-alpha) n!) by
-bisection around its asymptotic inverse. Poisson and binomial draws are
-numpy's (transformed rejection / BTPE), except that Poisson rates from 2^33
-and binomial counts past 1e17 take the normal limit, in integer arithmetic.
+capped table it inverts S's closed form by bisection around its asymptotic
+inverse. w, S's table and its closed form come from pmf, as the masses do.
+Poisson and binomial draws are numpy's (transformed rejection / BTPE), except
+that Poisson rates from 2^33 and binomial counts past 1e17 take the normal
+limit, in integer arithmetic.
 
 ``sample_ds(p, rng, size=n)`` draws n variates at once: one Poisson array,
 one array of jump counts, one uniform array looked up in the same table, and
@@ -36,7 +37,7 @@ from numpy.random import PCG64, Generator, SeedSequence
 from .errors import DomainError
 from .genfun import stability_mu, translate_params
 from .params import BSibParams, DSParams, classify
-from .pmf import PmfTable, ds_pmf
+from .pmf import _TABLE_CAP, PmfTable, _core_weight, _log_survival, _neg_survival, ds_pmf
 
 __all__ = [
     "RngStream",
@@ -54,7 +55,6 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 
 _TABLE_INIT = 64
-_TABLE_CAP = 1 << 16
 # Sibuya cores (one per alpha) whose survival tables are kept, least recently used first out
 _TABLE_CACHE_SIZE = 32
 # uniforms drawn per pass of the batch sampler; bounds its memory at large lam
@@ -63,8 +63,6 @@ _JUMP_BATCH = 1 << 20
 # before any jump is drawn. At the budget one variate's jumps fill one pass of
 # the batch sampler (~18 MB, 0.05 s); a scalar draw loops over them (~4 s).
 _JUMP_BUDGET = _JUMP_BATCH
-# beyond this, lgamma(n+1-a) - lgamma(n+1) cancels; use its asymptotic series
-_ASYMPTOTIC_N = 10**6
 # the longest core jump, in bits, that the closed-form tail builds (2 MB)
 _TAIL_BITS_MAX = 1 << 24
 
@@ -186,18 +184,12 @@ class _CoreTable:
 
     def __init__(self, alpha: float):
         self.alpha = alpha
-        self._rebuild(_TABLE_INIT)
-
-    def _rebuild(self, size: int) -> None:
-        # 1 - alpha/k in place: at the cap, temporaries would set the peak memory
-        factors = np.arange(1.0, size + 1.0)
-        np.subtract(1.0, np.divide(self.alpha, factors, out=factors), out=factors)
-        factors[0] = -1.0  # S(1) = 1, negated
-        self.neg_survival = np.cumprod(factors, out=factors)
+        self.neg_survival = _neg_survival(alpha, _TABLE_INIT)
 
     def _grow_to(self, neg_t: float) -> None:
         while self.neg_survival[-1] <= neg_t and self.neg_survival.size < _TABLE_CAP:
-            self._rebuild(min(2 * self.neg_survival.size, _TABLE_CAP))
+            size = min(2 * self.neg_survival.size, _TABLE_CAP)
+            self.neg_survival = _neg_survival(self.alpha, size)
 
     def draw(self, t: float) -> int:
         """The smallest n with S(n) < t, for t = 1 - u in (0, 1]."""
@@ -232,19 +224,9 @@ class _CoreTable:
         if alpha == 1.0:
             return math.ceil(1.0 / t)
         log_t = math.log(t)
-        const = -math.lgamma(2.0 - alpha)
-        series = 0.5 * alpha * (alpha - 1.0)
-
-        def log_survival(n: int) -> float:
-            if n < _ASYMPTOTIC_N:
-                return const + math.lgamma(n + 1.0 - alpha) - math.lgamma(n + 1.0)
-            # -a log n + a(a-1)/(2n) + O(n^-2); math.log takes ints past the float range
-            log_n = math.log(n)
-            return const - alpha * log_n + series * math.exp(-log_n)
-
         # the answer lies in [n0/2, 2 n0 + 2] (Gautschi's inequality) for the asymptotic
         # inverse n0 = (Gamma(2-a) t)^(-1/a), at least 1, built exactly from mantissa and exponent
-        log2_n0 = max((const - log_t) / (alpha * math.log(2.0)), 0.0)
+        log2_n0 = max((-math.lgamma(2.0 - alpha) - log_t) / (alpha * math.log(2.0)), 0.0)
         if log2_n0 > _TAIL_BITS_MAX:
             raise DomainError(f"a Sibuya jump at alpha = {alpha} passes 2^{_TAIL_BITS_MAX}")
         e = math.floor(log2_n0)
@@ -253,7 +235,7 @@ class _CoreTable:
         lo, hi = n0 >> 1, 2 * n0 + 2
         while hi - lo > max(1, hi >> 45):
             mid = (lo + hi) // 2
-            if log_survival(mid) > log_t:
+            if _log_survival(alpha, mid) > log_t:
                 lo = mid
             else:
                 hi = mid
@@ -268,7 +250,7 @@ def _core_table(alpha: float) -> _CoreTable:
 def sample_bsib(b: BSibParams, rng: RngStream) -> int:
     """One broad-Sibuya variate by inverse CDF: 1 if t = 1 - u > w, else a core jump at t/w."""
     t = 1.0 - rng.random()
-    w = b.rho if b.alpha == 1.0 else (1.0 - b.rho) * (1.0 - b.alpha)
+    w = _core_weight(b.alpha, b.rho)
     if t > w:
         return 1
     return _core_table(b.alpha).draw(t / w)

@@ -11,7 +11,7 @@ import time
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dstable import DSParams, ds_pmf
 from dstable.cli import _PLOT_SET, main
@@ -591,13 +591,20 @@ ALPHAS = st.one_of(
 CONTRACT = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
 
-def exit_code(*argv) -> int:
-    """main's exit code, output discarded; argparse errors exit 2 via SystemExit."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+def exit_and_stdout(*argv) -> tuple[int, str]:
+    """main's exit code and stdout, stderr discarded; argparse errors exit 2 via SystemExit."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return main(list(argv))
+            code = main(list(argv))
         except SystemExit as exc:
-            return exc.code
+            code = exc.code
+    return code, out.getvalue()
+
+
+def exit_code(*argv) -> int:
+    """main's exit code, output discarded."""
+    return exit_and_stdout(*argv)[0]
 
 
 def ds_flags(alpha, m1, m2):
@@ -644,5 +651,11 @@ class TestExitContractProperty:
 
     @CONTRACT
     @given(ALPHAS, MAGNITUDES, MAGNITUDES)
+    @example(0.5, 1e308, 1e308)  # the compound rate delta - gamma overflows
     def test_check(self, alpha, m1, m2):
-        assert exit_code("check", *ds_flags(alpha, m1, m2)) in (0, 2, 3, 4)
+        code, out = exit_and_stdout("check", *ds_flags(alpha, m1, m2), "--format", "json")
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            # only the point mass lacks a compound form
+            report = json.loads(out)
+            assert (report["compound"] is None) == report["is_degenerate"]

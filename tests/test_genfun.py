@@ -316,6 +316,13 @@ class TestStability:
         for rho in RHO_GRID:
             assert stability_residual(p, rho).max_residual <= 1e-12, rho
 
+    @pytest.mark.parametrize("raw", [(1e-6, -1.0, 1000.0), (1e-6, -1.0, 0.0), (1e-3, -1.0, 10.0)])
+    def test_tiny_alpha_residual(self, raw):
+        # f = (1 - rho^a)^(1/a) underflows to 0 here, but f^a = 1 - rho^a does not
+        p = DSParams(*raw)
+        for rho in RHO_GRID:
+            assert stability_residual(p, rho).max_residual <= 1e-12, rho
+
     def test_far_negative_shift(self):
         # mu = -865 at rho = 0.1: e^{mu (z - 1)} alone overflows, G(z) e^{mu (z - 1)} does not
         p = DSParams(0.5, -1.0, 2000.0)

@@ -3,9 +3,11 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -35,6 +37,7 @@ from dstable.errors import (
     QuantileBeyondTable,
     TailBoundUnreachable,
 )
+from dstable.pmf import _TABLE_CAP, _log_survival, bsib_pmf_array
 
 import oracles
 from conftest import PARAM_GRID
@@ -121,6 +124,71 @@ class TestBsibPmf:
         lo = (1e3 ** (alpha + 1.0)) * bsib_pmf(b, 1000)
         hi = (1e4 ** (alpha + 1.0)) * bsib_pmf(b, 10000)
         assert abs(hi - lo) / lo < 0.01
+
+
+class TestSibuyaCore:
+    """Masses w alpha S(n-1)/n from the core survival S: its table, then its closed form."""
+
+    PAIRS = [(0.05, 0.0), (0.3, -0.2), (0.5, 0.0), (1.0, 0.5), (1.3, 2.0), (1.5, 1.2),
+             (1.999, 1.5)]
+
+    @pytest.mark.parametrize("alpha, rho", PAIRS)
+    def test_deep_mass_against_mpmath(self, alpha, rho):
+        # either side of the 2^16 table cap, and far past it
+        a, r = mpmath.mpf(alpha), mpmath.mpf(rho)
+        for n in [10**3, 2**16, 2**16 + 1, 10**5, 10**6, 10**7, 10**9]:
+            with mpmath.workdps(40):
+                w = r if alpha == 1.0 else (1 - r) * (1 - a)
+                log_core = mpmath.loggamma(n - a) - mpmath.loggamma(2 - a) - mpmath.loggamma(n + 1)
+                want = float(w * a * mpmath.exp(log_core))
+            got = bsib_pmf(BSibParams(alpha, rho), n)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0), n
+
+    def test_deep_mass_takes_constant_memory(self):
+        tracemalloc.start()
+        try:
+            bsib_pmf(BSibParams(0.5, 0.0), 10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_deep_mass_at_alpha_two_is_zero(self):
+        assert bsib_pmf(BSibParams(2.0, 1.5), 10**9) == 0.0
+
+    @pytest.mark.parametrize("rho", [1.0000001, 1.25, 1.5, 1.9999999, 2.0])
+    def test_hermite_rates_exact(self, rho):
+        want = [0.0, 2.0 - rho, rho - 1.0] + [0.0] * 8
+        assert bsib_pmf_array(BSibParams(2.0, rho), 10).tolist() == want
+
+    def test_first_mass_at_boundary_rho_not_negative(self):
+        # the core law's rho sits on its boundary, where p_1 = 1 - w = 0 and w may round past 1
+        for alpha in np.linspace(0.001, 1.999, 2000):
+            if alpha == 1.0:
+                continue
+            p = DSParams(alpha, -1.0, 0.0) if alpha < 1.0 else DSParams(alpha, 1.0, alpha)
+            b = ds_to_compound(p).summand
+            assert bsib_pmf(b, 1) >= 0.0, alpha
+            assert levy_weights(ds_to_compound(p), 1)[0] >= 0.0, alpha
+
+    def test_point_mass_rates_exact(self):
+        assert bsib_pmf_array(BSibParams(1.0, 0.0), 10).tolist() == [0.0, 1.0] + [0.0] * 9
+
+    @pytest.mark.parametrize("alpha", [1e-4, 0.05, 0.5, 1.0, 1.5, 1.999])
+    def test_log_survival_against_mpmath(self, alpha):
+        a = mpmath.mpf(alpha)
+        for n in [2, 3, 10, 100, 10**3, 10**4, 2**16 - 1, 2**16, 2**16 + 1, 10**5, 10**6,
+                  10**7, 10**9, 10**12, 10**18, 10**50, 10**100, 10**300]:
+            with mpmath.workdps(len(str(n)) + 40):
+                exact = mpmath.loggamma(n + 1 - a) - mpmath.loggamma(n + 1) - mpmath.loggamma(2 - a)
+                want = float(exact)
+            got = _log_survival(alpha, n)
+            if n >= _TABLE_CAP:
+                # the series: 1e-14, plus the spacing of doubles near log S itself
+                assert abs(got - want) <= 1e-14 + 2.0 * math.ulp(want), n
+            else:
+                # the log-gamma difference cancels: 1e-15 of the terms it subtracts
+                assert abs(got - want) <= 1e-14 + 1e-15 * math.lgamma(n + 1.0), n
 
 
 class TestDsPmfRecursion:
