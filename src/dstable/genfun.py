@@ -14,6 +14,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     AlphaMismatch,
     DomainError,
@@ -73,16 +75,16 @@ def pgf(p: DSParams, z: complex | float):
     return _pgf_from_one(p, 1.0 - z)
 
 
-def _pgf_from_one(p: DSParams, w: complex | float, w_alpha=None):
+def _pgf_from_one(p: DSParams, w, w_alpha=None):
     """G(1 - w) for w != 0 with Re(w) >= 0, taking the distance w from 1.
 
     A w far below the spacing of doubles near 1 keeps its digits here, where
     1 - w would round to 1. For w = 1.0 - z, -w * delta is (z - 1) * delta
     exactly, so pgf's digits do not depend on the route. Off alpha = 1 a
     caller may pass w**alpha as w_alpha, for a w that underflows where
-    w**alpha does not.
+    w**alpha does not. w may also be a numpy array with no zero entry.
     """
-    lib = cmath if isinstance(w, complex) else math
+    lib = cmath if isinstance(w, complex) else math if isinstance(w, float) else np
     if p.alpha == 1.0:
         return lib.exp(-w * p.delta + p.gamma * w * lib.log(w))
     if w_alpha is None:

@@ -25,7 +25,7 @@ from .errors import (
     QuantileBeyondTable,
     TailBoundUnreachable,
 )
-from .genfun import pgf
+from .genfun import _pgf_from_one
 from .params import BSibParams, CompoundRep, DSParams, ds_to_compound
 
 __all__ = [
@@ -53,13 +53,23 @@ _INVERSION_DUST = 1e-10
 
 _RENORM_LIMIT = 2.0**512
 _RENORM_FACTOR = 2.0**-512
-# np.ldexp takes an int32 exponent. Scaled entries stay below 2^513, so from
+# np.ldexp takes an int32 exponent. Scaled entries stay below 2^1024, so from
 # this exponent down every mass rounds to 0 anyway.
 _LDEXP_MIN_EXP = -2200
+# e^-800 lies far below half the least subnormal (e^-745.1): a mass under it rounds to 0
+_LOG_NO_MASS = -800.0
 
-# ds_pmf computes entries in leaves of this length, each by a direct dot
-# product over its own leaf; pushes from finished blocks supply the rest.
+# ds_pmf computes entries in leaves of this length; pushes from finished
+# blocks supply the terms from before the leaf, the leaf itself the rest.
 _LEAF = 64
+# Laws of unbounded support solve leaves from this index on with a leaf
+# inverse (see _leaf_inverses), so tables of up to two leaves build none.
+# Inverses are built at most this many leaves at a time (~0.5 MB), in
+# batches by leaf index (see _batch).
+_BLOCK_FROM = 2
+_BATCH = 16
+# |j - i| over a leaf's entries, to index the rates' Toeplitz matrix
+_LAGS = np.abs(np.subtract.outer(np.arange(_LEAF), np.arange(_LEAF)))
 # Pushes from blocks at least this long use the FFT, shorter ones np.convolve.
 _FFT_MIN = 512
 
@@ -89,11 +99,14 @@ class PmfTable:
         masses = np.asarray(self.masses, dtype=np.float64)
         if masses.ndim != 1 or masses.size == 0:
             raise ValueError("masses must be a nonempty 1-D array")
-        if np.any(masses < 0.0):
-            worst = float(masses.min())
-            raise InternalConsistencyError(f"negative mass {worst} in table")
+        if not (masses >= 0.0).all():  # nan fails too
+            bad = float(masses[~(masses >= 0.0)][0])
+            kind = "negative" if math.isfinite(bad) else "non-finite"
+            raise InternalConsistencyError(f"{kind} mass {bad} in table")
         masses.setflags(write=False)
         cum = np.cumsum(masses)
+        if not math.isfinite(cum[-1]):  # the masses are >= 0, so one is inf
+            raise InternalConsistencyError("non-finite mass inf in table")
         cum.setflags(write=False)
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "cdf_values", cum)
@@ -181,6 +194,17 @@ def _params_tag(p: DSParams) -> str:
     return f"DS(alpha={p.alpha:g}, gamma={p.gamma:g}, delta={p.delta:g})"
 
 
+def _rates(c: CompoundRep, cap: int) -> np.ndarray:
+    """Jump rates k lam p_k for k below the least power of two >= cap.
+
+    A push into entries below cap with an FFT of size 2h reads the rates up
+    to 2h - 1, and this many are always there: a spectrum padded with zeros
+    would give entries digits that depend on n_max.
+    """
+    size = 1 << (cap - 1).bit_length()
+    return c.lam * np.arange(size, dtype=np.float64) * bsib_pmf_array(c.summand, size - 1)
+
+
 def _push(
     scaled: np.ndarray,
     weights: np.ndarray,
@@ -209,6 +233,92 @@ def _push(
         scaled[e:top] += np.convolve(weights[1 : top - lo], scaled[lo:e], "valid")
 
 
+def _batch(index: int, last: int) -> tuple[int, int]:
+    """First leaf index and leaf count of the inverse batch holding leaf index >= 2.
+
+    Batches double, [2, 4), [4, 8), [8, 16), then hold 16 leaves each, so a
+    table that stops early built at most about as many leaves as it used.
+    They end at leaf index last, the table's last: an inverse's digits do
+    not depend on its batch.
+    """
+    first = 1 << (index.bit_length() - 1) if index < _BATCH else index - index % _BATCH
+    return first, min(_BATCH if index >= _BATCH else first, last + 1 - first)
+
+
+def _leaf_inverses(weights: np.ndarray, first: int, count: int, rows: int) -> np.ndarray:
+    """(diag(L .. L+63) - W)^-1 for the leaves L = 64 first .. 64 (first + count - 1).
+
+    W[j, i] = w_{j-i} (j > i) holds the rates, so the leaf at L solves
+    (diag(L+j) - W) f = pending sums. Block doubling builds each inverse:
+    [[A, 0], [-C, B]]^-1 = [[A^-1, 0], [B^-1 C A^-1, B^-1]], from the 1x1
+    blocks 1/(L+j) up. C holds rates and every new block is a product of
+    nonnegative blocks, so the inverse is nonnegative and has no cancellation.
+    Overflow leaves inf or nan entries, which _block_leaf refuses.
+
+    rows: the entries the table can take from 64 first on. Below 64, only
+    the top-left block that holds them is built, and later steps would not
+    change its digits; the rows past it are not the inverse's.
+    """
+    toeplitz = weights[_LAGS]  # w_{|j-i|}: the blocks C read only its strictly lower part
+    inverses = np.zeros((count, _LEAF, _LEAF))
+    diagonals = inverses.reshape(count, _LEAF * _LEAF)[:, :: _LEAF + 1]
+    diagonals[...] = 1.0 / np.arange(first * _LEAF, (first + count) * _LEAF, 1.0).reshape(
+        count, _LEAF
+    )
+    s0, s1, s2 = inverses.strides
+    size = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while size < min(rows, _LEAF):
+            # the diagonal blocks of side 2 size, each an (A, B) pair to join
+            pairs = np.ndarray(
+                (count, _LEAF // (2 * size), 2 * size, 2 * size),
+                inverses.dtype, inverses, 0, (s0, 2 * size * (s1 + s2), s1, s2),
+            )
+            low = toeplitz[size : 2 * size, :size] @ pairs[..., :size, :size]
+            np.matmul(pairs[..., size:, size:], low, out=pairs[..., size:, :size])
+            size *= 2
+    return inverses
+
+
+def _block_leaf(
+    inverse: np.ndarray,
+    scaled: np.ndarray,
+    n: int,
+    n_max: int,
+    cum: float,
+    target: float,
+    exp2: int,
+) -> tuple[int, float, int]:
+    """Solve the leaf from n at once, as inverse @ pending sums.
+
+    Takes its entries up to n_max, up to the first one whose running sum
+    reaches target (added in the loop's order), and short of the first one
+    that is not finite, which the loop then computes. Entry j's value reads
+    only pending sums 0..j, so it does not depend on where the table ends.
+    Returns the entries taken, and cum and exp2 after them.
+    """
+    pending = scaled[n : n + _LEAF]
+    if pending.size < _LEAF:  # the last leaf, cut by n_max
+        pending = np.concatenate((pending, np.zeros(_LEAF - pending.size)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = inverse.dot(pending)[: n_max + 1 - n]
+        running = np.ldexp(values, max(exp2, _LDEXP_MIN_EXP))
+        running[0] += cum
+        np.cumsum(running, out=running)
+    if not math.isfinite(running[-1]):  # so is every sum from the first non-finite value on
+        running = running[: np.isfinite(running).argmin()]
+    if running.size and running.max() >= target:
+        running = running[: np.argmax(running >= target) + 1]
+    taken = running.size
+    if taken:
+        scaled[n : n + taken] = values[:taken]
+        cum = float(running[-1])
+        if values[:taken].max() > _RENORM_LIMIT:
+            scaled *= _RENORM_FACTOR
+            exp2 += 512
+    return taken, cum, exp2
+
+
 def ds_pmf(
     p: DSParams,
     n_max: int = DEFAULT_N_MAX,
@@ -218,13 +328,21 @@ def ds_pmf(
 
     Runs f(n) = (lam/n) * sum_k k p_k f(n-k) in the linear domain; every term
     is nonnegative so there is no cancellation. The sum is an online
-    convolution, evaluated by relaxed multiplication in O(n log^2 n): direct
-    dot products within leaves of _LEAF entries, block pushes between them
-    (see _push). A shared power-of-two exponent
-    keeps the recursion alive when f(0) = e^{-lam} underflows (lam over ~700).
-    Stops at cumulative mass 1 - tail_bound or at n_max, whichever comes
-    first; if n_max wins, a TailBoundUnreachable warning is issued and the
-    table is returned with its honest tail mass.
+    convolution, evaluated by relaxed multiplication in O(n log^2 n): block
+    pushes carry the terms between leaves of _LEAF entries (see _push).
+    Within a leaf at L the masses solve (diag(L+j) - W) f = pending sums, W
+    the rates' lower Toeplitz matrix. Laws of unbounded support solve that
+    from their third leaf on as one product with the leaf's inverse, which
+    is nonnegative: block doubling builds it from products of nonnegative
+    blocks, with no subtraction (see _leaf_inverses). Hermite and Poisson
+    laws, and any entry the inverse would overflow, take the loop, one dot
+    product per entry. A shared power-of-two exponent keeps the recursion
+    alive when f(0) = e^{-lam} underflows (lam over ~700); a rate so large
+    that every mass up to n_max rounds to 0 gives zeros without the
+    recursion. Stops at cumulative mass 1 - tail_bound or at n_max,
+    whichever comes first; if n_max wins, a TailBoundUnreachable warning is
+    issued and the table is returned with its honest tail mass. A mass's
+    digits depend on the law and its index only, not on n_max or tail_bound.
     """
     n_max = int(n_max)
     if n_max < 0:
@@ -237,9 +355,30 @@ def ds_pmf(
         return PmfTable(np.array([1.0]), tag, tail_bound)
 
     c = ds_to_compound(p)
-    lam = c.lam
     target = 1.0 - tail_bound
+    # Pr(X <= n) <= Pr(at most n jumps) <= e^-lam (e lam / n)^n for n < lam
+    if n_max < c.lam and n_max * (1.0 + math.log(c.lam / max(n_max, 1))) - c.lam < _LOG_NO_MASS:
+        masses = np.zeros(n_max + 1 if target > 0.0 else 1)
+    else:
+        masses = _recursion(c, n_max, target, p.alpha < 2.0 and p.gamma != 0.0)
+    table = PmfTable(masses, tag, tail_bound)
+    if not table.tail_bound_met:
+        warnings.warn(
+            TailBoundUnreachable(
+                f"{tag}: tail mass {table.tail_mass:.3e} > bound {tail_bound:.3e} "
+                f"at n_max = {n_max}"
+            ),
+            stacklevel=2,
+        )
+    return table
 
+
+def _recursion(c: CompoundRep, n_max: int, target: float, blocks: bool) -> np.ndarray:
+    """ds_pmf's masses, up to n_max or the first running sum >= target.
+
+    blocks: solve leaves from _BLOCK_FROM on with their inverses.
+    """
+    lam = c.lam
     if lam < 700.0:
         scaled0, exp2 = math.exp(-lam), 0
     else:
@@ -250,14 +389,15 @@ def ds_pmf(
     # scaled[n] holds f(n) once computed; before that, the pending share of
     # its sum that earlier blocks pushed forward
     cap = min(n_max, 1024) + 1
-    jump = bsib_pmf_array(c.summand, cap - 1)
-    weights = lam * np.arange(cap, dtype=np.float64) * jump
+    weights = _rates(c, cap)
     scaled = np.zeros(cap)
     scaled[0] = scaled0
     cum = math.ldexp(scaled0, exp2)
     support = 0  # length of the rates without trailing zeros; 0 until a push needs it
     spectra: dict[int, np.ndarray] = {}
     ldexp = math.ldexp
+    first = count = 0  # the leaf indices whose inverses are built
+    inverses = None
 
     n = leaf = 0
     while n < n_max and cum < target:
@@ -268,8 +408,7 @@ def ds_pmf(
             h = n & -n
             if cap <= n_max and n + h > cap:
                 cap = min(n_max, 2 * (cap - 1)) + 1
-                jump = bsib_pmf_array(c.summand, cap - 1)
-                weights = lam * np.arange(cap, dtype=np.float64) * jump
+                weights = _rates(c, cap)
                 scaled = np.concatenate((scaled, np.zeros(cap - scaled.size)))
                 support = 0
             if not support:
@@ -279,6 +418,17 @@ def ds_pmf(
                 # product, so Hermite masses keep its digits
                 second = np.array((1.0, weights[1]))
             _push(scaled, weights, support, n, h, spectra)
+            index = n // _LEAF
+            if blocks and index >= _BLOCK_FROM:
+                if not first <= index < first + count:
+                    first, count = _batch(index, n_max // _LEAF)
+                    inverses = _leaf_inverses(weights, first, count, n_max + 1 - first * _LEAF)
+                taken, cum, exp2 = _block_leaf(
+                    inverses[index - first], scaled, n, n_max, cum, target, exp2
+                )
+                if taken:
+                    n += taken - 1
+                    continue
         if j == 1 and leaf:
             value = float(second.dot((scaled[n], scaled[leaf]))) / n
         else:
@@ -291,18 +441,8 @@ def ds_pmf(
         cum += ldexp(value, exp2)
 
     masses = np.ldexp(scaled[: n + 1], max(exp2, _LDEXP_MIN_EXP))
-    small_negative = (masses < 0.0) & (masses > -_NEGATIVE_DUST)
-    masses[small_negative] = 0.0
-    table = PmfTable(masses, tag, tail_bound)
-    if not table.tail_bound_met:
-        warnings.warn(
-            TailBoundUnreachable(
-                f"{tag}: tail mass {table.tail_mass:.3e} > bound {tail_bound:.3e} "
-                f"at n_max = {n_max}"
-            ),
-            stacklevel=2,
-        )
-    return table
+    masses[(masses < 0.0) & (masses > -_NEGATIVE_DUST)] = 0.0
+    return masses
 
 
 def ds_pmf_inversion(
@@ -334,8 +474,11 @@ def ds_pmf_inversion(
         raise DomainError(f"radius must lie in (0, 1], got {radius}")
 
     angles = 2.0 * math.pi * np.arange(quad_points) / quad_points
-    points = radius * np.exp(1j * angles)
-    values = np.array([pgf(p, complex(z)) for z in points], dtype=np.complex128)
+    w = 1.0 - radius * np.exp(1j * angles)
+    # G(1) = 1 exactly; elsewhere G(1 - w) on all points at once
+    values = np.ones(quad_points, dtype=np.complex128)
+    inside = w != 0.0
+    values[inside] = _pgf_from_one(p, w[inside])
     coef = np.fft.fft(values)[: n_max + 1] / quad_points
     amplify = radius ** -np.arange(n_max + 1, dtype=np.float64)
     coef *= amplify

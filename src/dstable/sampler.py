@@ -61,8 +61,11 @@ _TABLE_CACHE_SIZE = 32
 _JUMP_BATCH = 1 << 20
 # the most core jumps one variate may take: a larger count raises a DomainError
 # before any jump is drawn. At the budget one variate's jumps fill one pass of
-# the batch sampler (~18 MB, 0.05 s); a scalar draw loops over them (~4 s).
+# the batch sampler (~18 MB, 0.05 s), and so does a scalar draw.
 _JUMP_BUDGET = _JUMP_BATCH
+# a scalar draw with more jumps than this draws them as one array: a jump by
+# _CoreTable.draw costs ~4 us, one draw_array call ~15 us whatever its length
+_SCALAR_JUMPS_MAX = 4
 # the longest core jump, in bits, that the closed-form tail builds (2 MB)
 _TAIL_BITS_MAX = 1 << 24
 
@@ -289,6 +292,9 @@ def sample_ds(p: DSParams, rng: RngStream, size: int | None = None) -> int | np.
         return total + 2 * count
     if count > _JUMP_BUDGET:
         raise _jump_budget_error(core_rate)
+    if count > _SCALAR_JUMPS_MAX:
+        # the same uniforms in the same order: draw_array forms u - 1 = -t exactly
+        return total + int(_core_table(p.alpha).draw_array(rng._gen.random(count)).sum())
     if count:
         draw = _core_table(p.alpha).draw
         for _ in range(count):

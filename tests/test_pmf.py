@@ -10,6 +10,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from scipy import stats
 
 from dstable import (
     BSibParams,
@@ -30,14 +31,17 @@ from dstable import (
     quantile,
     rfunc,
 )
+from dstable import pmf as pmf_module
 from dstable.errors import (
     DomainError,
     IndexBeyondTable,
+    InternalConsistencyError,
     QuadratureInsufficiency,
     QuantileBeyondTable,
     TailBoundUnreachable,
 )
-from dstable.pmf import _TABLE_CAP, _log_survival, bsib_pmf_array
+from dstable.genfun import _pgf_from_one
+from dstable.pmf import _LEAF, _TABLE_CAP, _log_survival, bsib_pmf_array
 
 import oracles
 from conftest import PARAM_GRID
@@ -359,6 +363,128 @@ class TestRelaxedRecursion:
         assert rel.max() <= 1e-13
 
 
+class TestBlockLeaves:
+    """Leaves of unbounded-support laws solved at once by a nonnegative leaf inverse."""
+
+    @pytest.mark.parametrize("raw", PARAM_GRID + HEAVY_TAILS)
+    def test_masses_independent_of_n_max(self, raw):
+        p = DSParams(*raw)
+        for n in (63, 64, 127, 128, 129, 191, 1000):
+            for tail_bound in (0.0, 1e-12):
+                short = make_table(p, n_max=n, tail_bound=tail_bound).masses
+                full = make_table(p, n_max=4 * n, tail_bound=tail_bound).masses
+                assert short.size == min(n + 1, full.size), n
+                assert short.tolist() == full[: short.size].tolist(), n
+
+    @pytest.mark.parametrize("raw", PARAM_GRID + HEAVY_TAILS)
+    def test_stop_index_on_leaf_edges(self, raw):
+        p = DSParams(*raw)
+        for n_max in (127, 128, 129, 191, 192, 193, 1023, 1024, 1025):
+            for tail_bound in (0.0, 1e-12, 1e-6):
+                got = make_table(p, n_max=n_max, tail_bound=tail_bound)
+                assert len(got) == oracles.direct_ds_pmf(p, n_max, tail_bound).size
+
+    @pytest.mark.parametrize("raw", HEAVY_TAILS + [(0.3, -1.0, 1.0), (1.0, 1.0, 2.0)])
+    def test_stop_index_mid_leaf(self, raw):
+        # a bound between the running sums at stop - 1 and stop ends the table there
+        p = DSParams(*raw)
+        cum = np.cumsum(oracles.direct_ds_pmf(p, 2000, 0.0))
+        for stop in (130, 159, 250, 700, 1500):
+            if cum[stop] - cum[stop - 1] < 1e-13:
+                continue
+            tail_bound = 1.0 - 0.5 * (cum[stop - 1] + cum[stop])
+            got = make_table(p, n_max=2000, tail_bound=tail_bound)
+            assert len(got) == oracles.direct_ds_pmf(p, 2000, tail_bound).size == stop + 1
+
+    def test_rescale_after_block_leaf(self, monkeypatch):
+        # lam = 2000: the masses climb from e^-2000 past several 2^512 steps
+        rescaled = []
+        solve = pmf_module._block_leaf
+
+        def spy(*args):
+            taken, cum, exp2 = solve(*args)
+            rescaled.append(exp2 != args[-1])
+            return taken, cum, exp2
+
+        monkeypatch.setattr(pmf_module, "_block_leaf", spy)
+        p = DSParams(1.5, 1.0, 2001.0)
+        got = make_table(p, n_max=4000).masses
+        assert sum(rescaled) >= 2
+        # the left flank to 1e-13 relative, as TestRelaxedRecursion asks of the loop
+        want = oracles.direct_ds_pmf(p, 4000, 1e-12)
+        flank = slice(0, int(np.argmax(want)) + 1)
+        big = want[flank] > 1e-300
+        assert big.sum() > 100
+        assert np.max(np.abs(got[flank] - want[flank])[big] / want[flank][big]) <= 1e-13
+
+    def test_overflowing_block_takes_the_loop(self, monkeypatch):
+        # lam = 1e5: near n = 200 the masses grow by ~2^9 an entry, so a leaf
+        # solve passes 2^1024 and the loop takes that leaf from there
+        cut = []
+        solve = pmf_module._block_leaf
+
+        def record(*args):
+            result = solve(*args)
+            n, n_max = args[2:4]
+            cut.append(result[0] < min(_LEAF, n_max + 1 - n))
+            return result
+
+        monkeypatch.setattr(pmf_module, "_block_leaf", record)
+        p = DSParams(1.5, 1.0, 1e5 + 1.0)
+        n_max = 10**5 + 1500
+        got = make_table(p, n_max=n_max).masses
+        assert any(cut)
+        assert got.size == n_max + 1 and np.all(np.isfinite(got))
+        # DS(1.5, 1, delta) is Poisson(delta - 1.5) plus the core law DS(1.5, 1, 1.5)
+        core = make_table(DSParams(1.5, 1.0, 1.5), n_max=n_max).masses
+        mode = int(np.argmax(got))
+        for n in range(mode - 600, mode + 601, 300):
+            poisson = stats.poisson.pmf(np.arange(n, -1, -1), p.delta - 1.5)
+            want = math.fsum((poisson * core[: n + 1]).tolist())
+            assert got[n] == pytest.approx(want, rel=1e-9), n
+
+    def test_finite_support_keeps_the_loop(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pmf_module, "_block_leaf", lambda *args: calls.append(args))
+        for raw in FINITE_SUPPORT:
+            make_table(DSParams(*raw), n_max=2000, tail_bound=0.0)
+        assert not calls
+
+    def test_leaf_inverse_is_nonnegative_and_exact(self):
+        c = ds_to_compound(DSParams(0.5, -1.0, 0.0))
+        weights = c.lam * np.arange(65.0) * bsib_pmf_array(c.summand, 64)
+        inverses = pmf_module._leaf_inverses(weights, 2, 2, 10**4)
+        lags = np.subtract.outer(np.arange(_LEAF), np.arange(_LEAF))
+        rates = np.where(lags > 0, weights[np.abs(lags)], 0.0)
+        for k, inverse in enumerate(inverses):
+            matrix = np.diag((2 + k) * _LEAF + np.arange(_LEAF, dtype=float)) - rates
+            assert np.all(inverse >= 0.0)
+            assert np.all(np.triu(inverse, 1) == 0.0)
+            assert np.max(np.abs(inverse @ matrix - np.eye(_LEAF))) < 1e-14
+
+    def test_inverse_digits_independent_of_batch(self):
+        # a table's batches end at n_max's leaf, and its last leaf may build only
+        # the top-left block its entries need: neither may move a digit
+        weights = pmf_module._rates(ds_to_compound(DSParams(1.3, 1.0, 2.0)), 2048)
+        batch = pmf_module._leaf_inverses(weights, 16, 16, 10**4)
+        for k in (0, 5, 15):
+            alone = pmf_module._leaf_inverses(weights, 16 + k, 1, 10**4)[0]
+            assert np.array_equal(alone, batch[k])
+        for rows in (1, 3, 17, 40):
+            top = 1 << (rows - 1).bit_length()
+            part = pmf_module._leaf_inverses(weights, 16, 1, rows)[0]
+            assert np.array_equal(part[:top, :top], batch[0][:top, :top])
+
+    def test_solve_stops_short_of_a_non_finite_value(self):
+        inverse = np.eye(_LEAF)
+        inverse[10, 3] = math.inf
+        scaled = np.arange(1.0, 3 * _LEAF + 1.0)
+        taken, cum, exp2 = pmf_module._block_leaf(inverse, scaled, _LEAF, 10**4, 0.0, 1.0, -10)
+        assert (taken, exp2) == (10, -10)
+        assert cum == math.fsum(range(_LEAF + 1, _LEAF + 11)) / 1024.0
+        assert scaled[_LEAF : _LEAF + 10].tolist() == list(range(_LEAF + 1, _LEAF + 11))
+
+
 def test_library_does_not_import_scipy():
     # scipy is a test extra; importing it would slow every CLI start
     code = (
@@ -389,6 +515,29 @@ class TestInversionOracle:
         rec = make_table(p, n_max=200)
         inv = ds_pmf_inversion(p, 200, 1024)
         assert np.max(np.abs(rec.masses[:201] - inv.masses[:201])) < 1e-10
+
+    def test_unit_circle_through_z_one(self):
+        # radius 1 puts a point on z = 1, where G = 1 exactly; at alpha = 1
+        # the PGF's w log w would read 0 log 0 there
+        p = DSParams(1.0, 1.0, 2.0)
+        inv = ds_pmf_inversion(p, 10, 64, radius=1.0).masses
+        rec = make_table(p, n_max=200, tail_bound=0.0)
+        # on the unit circle each mass picks up the masses M, 2M, ... past it
+        aliased = float(rec.masses[64:].sum()) + rec.tail_mass
+        assert np.all(np.isfinite(inv))
+        assert np.max(np.abs(inv - rec.masses[:11])) <= aliased + 1e-12
+
+    def test_array_pgf_matches_scalar(self, grid_params):
+        z = 0.9 * np.exp(1j * np.linspace(0.1, 6.2, 64))
+        got = _pgf_from_one(grid_params, 1.0 - z)
+        want = np.array([pgf(grid_params, complex(v)) for v in z])
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_non_finite_pgf_values_rejected(self, monkeypatch):
+        # nan > 1e-8 is False, so the residue check alone lets nan through
+        monkeypatch.setattr(pmf_module, "_pgf_from_one", lambda p, w: np.full(w.shape, np.nan))
+        with pytest.raises(InternalConsistencyError, match="non-finite"):
+            ds_pmf_inversion(DSParams(0.5, -1.0, 0.0), 20, 64)
 
     def test_insufficient_quadrature_rejected(self):
         with pytest.raises(DomainError):
@@ -425,6 +574,11 @@ class TestInversionOracle:
 
 
 class TestTableQueries:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mass_rejected(self, bad):
+        with pytest.raises(InternalConsistencyError, match="non-finite"):
+            PmfTable(np.array([bad, 0.5]), "x")
+
     def test_cdf_poisson(self):
         table = make_table(DSParams(1.0, 0.0, 2.0), n_max=60)
         assert cdf(table, 0) == pytest.approx(math.exp(-2.0))

@@ -32,6 +32,7 @@ from dstable.sampler import (
     _JUMP_BATCH,
     _JUMP_BUDGET,
     _POISSON_EXACT_MAX,
+    _SCALAR_JUMPS_MAX,
     _TABLE_CACHE_SIZE,
     _CoreTable,
     _core_table,
@@ -672,6 +673,31 @@ class TestJumpBudget:
         values = sample_ds(DSParams(1.5, 2e6, 3e6), RngStream(42), size=2)
         assert values.dtype == np.int64
         assert np.all(values > 2 * 10**6)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.3])
+    def test_scalar_jumps_match_per_jump_replay(self, alpha):
+        # core rate 4: jump counts fall on both sides of _SCALAR_JUMPS_MAX,
+        # and past it the jumps come from one array of the same uniforms
+        gamma = 4.0 if alpha == 1.0 else 4.0 / (alpha - 1.0)
+        p = DSParams(alpha, gamma, max(alpha * gamma, 0.0) + 1.0)
+        rate, core_rate = _split_rates(p.alpha, p.gamma, p.delta)
+        rng, ref = RngStream(44), RngStream(44)
+        table = _CoreTable(alpha)
+        counts = []
+        for _ in range(200):
+            want = ref.poisson(rate)
+            counts.append(ref.poisson(core_rate))
+            want += sum(table.draw(1.0 - ref.random()) for _ in range(counts[-1]))
+            assert sample_ds(p, rng) == want
+        assert min(counts) <= _SCALAR_JUMPS_MAX < max(counts)
+        assert rng.random() == ref.random()
+
+    def test_scalar_variate_near_budget_is_fast(self):
+        # core rate 8e5: one array pass, not 8e5 calls of ~4 us
+        start = time.perf_counter()
+        value = sample_ds(DSParams(1.5, 1.6e6, 2.4e6), RngStream(45))
+        assert time.perf_counter() - start < 1.0
+        assert value > 2 * 10**6
 
     def test_hermite_takes_no_jumps(self):
         # every core jump is 2, so the count is never looped over
