@@ -241,8 +241,11 @@ def _batch(index: int, last: int) -> tuple[int, int]:
     They end at leaf index last, the table's last: an inverse's digits do
     not depend on its batch.
     """
-    first = 1 << (index.bit_length() - 1) if index < _BATCH else index - index % _BATCH
-    return first, min(_BATCH if index >= _BATCH else first, last + 1 - first)
+    if index < _BATCH:
+        first = size = 1 << (index.bit_length() - 1)
+    else:
+        first, size = index - index % _BATCH, _BATCH
+    return first, min(size, last + 1 - first)
 
 
 def _leaf_inverses(weights: np.ndarray, first: int, count: int, rows: int) -> np.ndarray:
