@@ -383,7 +383,17 @@ def _thin_array(x: np.ndarray, a: float, rng: RngStream) -> np.ndarray:
     exact = x <= _BINOMIAL_EXACT_MAX
     out = x.copy()
     out[exact] = rng._gen.binomial(x[exact].astype(np.int64), a)
-    out[~exact] = [thin(v, a, rng) for v in x[~exact]]
+    if a == 0.0:
+        out[~exact] = 0
+    elif a < 1.0 and not exact.all():
+        # thin's normal limit per count, with the normals drawn in one call
+        large = [int(v) for v in x[~exact]]
+        num, den = a.as_integer_ratio()
+        normals = rng._gen.standard_normal(len(large)).tolist()
+        out[~exact] = [
+            min(_round_normal(v * num, v * num * (den - num), den, z), v)
+            for v, z in zip(large, normals)
+        ]
     return out
 
 

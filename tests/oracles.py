@@ -137,3 +137,27 @@ def loop_mode_scan(table: PmfTable, plateau_tol: float = 1e-12) -> ModeReport:
         scanned_to=size - 1,
         tail_mass_at_scan=table.tail_mass,
     )
+
+
+def longdouble_ds_pmf(p: DSParams, n_max: int) -> np.ndarray:
+    """DS masses f(0..n_max) by the direct compound recursion in long double.
+
+    The rates lam k p_k come from the law's double parameters but are
+    computed, like every sum, in long double; there is no stopping rule.
+    Only more precise than ``direct_ds_pmf`` where long double is wider than
+    double.
+    """
+    c = ds_to_compound(p)
+    ld = np.longdouble
+    alpha, rho, lam = ld(c.summand.alpha), ld(c.summand.rho), ld(c.lam)
+    w = rho if c.summand.alpha == 1.0 else (1 - rho) * (1 - alpha)
+    # S(1..n_max-1), S(k) = prod_{j=2..k} (1 - alpha/j); k p_k = w alpha S(k-1) from k = 2 on
+    factors = np.concatenate(([ld(1)], 1 - alpha / np.arange(2, n_max, dtype=ld)))
+    weights = np.zeros(n_max + 1, dtype=ld)
+    weights[1] = lam * (1 - w)
+    weights[2:] = lam * w * alpha * np.cumprod(factors)
+    masses = np.zeros(n_max + 1, dtype=ld)
+    masses[0] = np.exp(-lam)
+    for n in range(1, n_max + 1):
+        masses[n] = np.dot(weights[n:0:-1], masses[:n]) / n
+    return masses

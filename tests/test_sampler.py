@@ -527,6 +527,26 @@ class TestThin:
         assert all(0 <= t <= v for t, v in zip(out, x))
         assert abs(out[3] - 5 * 10**29) < 10 * math.isqrt(10**30 // 4)
 
+    @pytest.mark.parametrize("a", [0.0, 0.3, 0.5, 1.0])
+    def test_array_equals_per_count_replay(self, a):
+        # counts past 1e17 take the normal limit; their normals come in one
+        # call, in the order the per-count thin would draw them
+        exact = [0, 7, 10**17, 3 * 10**9]
+        large = [10**17 + 1, 4 * 10**18, 2**62, 2**63 - 1]
+        for x in (np.array(exact + large, dtype=np.int64),
+                  np.array(exact + large + [10**30, 3**100], dtype=object)):
+            got = thin(x, a, RngStream(31))
+            ref = RngStream(31)
+            small = x <= 10**17
+            want = x.copy()
+            want[small] = ref._gen.binomial(x[small].astype(np.int64), a)
+            want[~small] = [thin(int(v), a, ref) for v in x[~small]]
+            assert got.dtype == x.dtype
+            assert got.tolist() == want.tolist()
+            rng = RngStream(31)
+            thin(x, a, rng)
+            assert rng.random() == ref.random()  # the same draws, no more
+
     def test_thinning_preserves_family(self):
         # histogram of a o X against the thinned parameter law
         p = DSParams(2.0, 1.0, 3.0)
