@@ -210,6 +210,7 @@ def _cmd_stability_test(args) -> int:
         "tv_distance": result.tv_distance,
         "chi_square_stat": result.chi_square_stat,
         "bins_used": result.bins_used,
+        "chi_square_dof": result.chi_square_dof,
         "n_samples": result.n_samples,
         "tv_threshold": args.tv_threshold,
         "passed": passed,

@@ -68,8 +68,8 @@ _LOG_NO_MASS = -800.0
 _LEAF = 64
 # Laws of unbounded support solve leaves with a leaf inverse (see
 # _leaf_inverses): all of them while the shared exponent is 0, else from
-# this index on. Inverses are built at most this many leaves at a time
-# (~0.5 MB), in batches by leaf index (see _batch).
+# this index on. Inverses are built this many leaves at a time, from leaf
+# 0 on, into one array per table (~0.5 MB; see _batch).
 _BLOCK_FROM = 2
 _BATCH = 16
 # While the shared exponent is 0, leaves are solved bare and checked once
@@ -154,12 +154,16 @@ def _core_weight(alpha: float, rho: float) -> float:
     return rho if alpha == 1.0 else (1.0 - rho) * (1.0 - alpha)
 
 
-def _neg_survival(alpha: float, size: int) -> np.ndarray:
-    """-S(1..size) of the Sibuya core at alpha, negated to ascend (size >= 1)."""
+def _neg_survival(alpha: float, size: int, start: int = 1, before: float = -1.0) -> np.ndarray:
+    """-S(start..size) of the Sibuya core at alpha, negated to ascend (size >= start).
+
+    A start past 1 continues the product from before = -S(start - 1), with
+    the products of a start at 1 in their order: the values keep its digits.
+    """
     # 1 - alpha/k in place: at the cap, temporaries would set the peak memory
-    factors = np.arange(1.0, size + 1.0)
+    factors = np.arange(float(start), size + 1.0)
     np.subtract(1.0, np.divide(alpha, factors, out=factors), out=factors)
-    factors[0] = -1.0  # S(1) = 1, negated
+    factors[0] = -1.0 if start == 1 else before * factors[0]  # S(1) = 1, negated
     return np.cumprod(factors, out=factors)
 
 
@@ -210,15 +214,36 @@ def _params_tag(p: DSParams) -> str:
     return f"DS(alpha={p.alpha:g}, gamma={p.gamma:g}, delta={p.delta:g})"
 
 
-def _rates(c: CompoundRep, cap: int) -> np.ndarray:
-    """Jump rates k lam p_k for k below the least power of two >= cap.
+class _Rates:
+    """One table's jump rates k lam p_k, for k below a power of two, grown as it grows.
 
     A push into entries below cap with an FFT of size 2h reads the rates up
-    to 2h - 1, and this many are always there: a spectrum padded with zeros
-    would give entries digits that depend on n_max.
+    to 2h - 1, and grow(cap) keeps all below the least power of two >= cap
+    there: a spectrum padded with zeros would give entries digits that
+    depend on n_max. grow continues the core survival's product from its
+    last value (see _neg_survival), so the rates have the digits of
+    lam * k * bsib_pmf_array whatever sizes they grew through.
     """
-    size = 1 << (cap - 1).bit_length()
-    return c.lam * np.arange(size, dtype=np.float64) * bsib_pmf_array(c.summand, size - 1)
+
+    __slots__ = ("c", "weights", "survival")
+
+    def __init__(self, c: CompoundRep, cap: int):
+        self.c = c
+        self.weights = c.lam * bsib_pmf_array(c.summand, 1)  # k = 0, 1
+        self.survival = -1.0  # -S(k - 2) of the next rate k, once k passes 2
+        self.grow(cap)
+
+    def grow(self, cap: int) -> np.ndarray:
+        lo, size = self.weights.size, 1 << (cap - 1).bit_length()
+        if size > lo:
+            b = self.c.summand
+            masses = _neg_survival(b.alpha, size - 2, lo - 1, self.survival)
+            self.survival = float(masses[-1])
+            k = np.arange(float(lo), float(size))
+            np.multiply(masses, -_core_weight(b.alpha, b.rho) * b.alpha, out=masses)
+            np.divide(masses, k, out=masses)  # p_k = w alpha S(k-1)/k, as bsib_pmf_array
+            self.weights = np.concatenate((self.weights, self.c.lam * k * masses))
+        return self.weights
 
 
 def _push(
@@ -233,9 +258,12 @@ def _push(
 
     With h the lowest set bit of e, every pair of entries i < n in different
     leaves falls in exactly one such push. Rates past ``support`` are zero, so
-    a finite-support law pushes a short block into few entries.
+    a finite-support law pushes a short block into few entries, and a law
+    whose rates are all 0 pushes nothing.
     """
     top = min(e + h, scaled.size, e + support - 1)
+    if top <= e:  # no rates: every jump mass underflowed (alpha near 0)
+        return
     lo = max(e - h, e - support + 1)
     if e - lo >= _FFT_MIN:
         # cyclic convolution of length 2h: outputs h..2h-1 take no wrapped terms
@@ -252,21 +280,17 @@ def _push(
 def _batch(index: int, last: int) -> tuple[int, int]:
     """First leaf index and leaf count of the inverse batch holding a leaf index.
 
-    Batches double, [0, 2), [2, 4), [4, 8), [8, 16), then hold 16 leaves
-    each, so a table that stops early built at most about as many leaves as
-    it used. They end at leaf index last, the table's last: an inverse's
-    digits do not depend on its batch.
+    Batches hold _BATCH leaves each from leaf 0 on, [0, 16), [16, 32), ..,
+    and end at leaf index last, the table's last: an inverse's digits do not
+    depend on its batch.
     """
-    if index < 2:
-        first, size = 0, 2
-    elif index < _BATCH:
-        first = size = 1 << (index.bit_length() - 1)
-    else:
-        first, size = index - index % _BATCH, _BATCH
-    return first, min(size, last + 1 - first)
+    first = index - index % _BATCH
+    return first, min(_BATCH, last + 1 - first)
 
 
-def _leaf_inverses(weights: np.ndarray, first: int, count: int, rows: int) -> np.ndarray:
+def _leaf_inverses(
+    toeplitz: np.ndarray, first: int, count: int, rows: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """(diag(L .. L+63) - W)^-1 for the leaves L = 64 first .. 64 (first + count - 1).
 
     W[j, i] = w_{j-i} (j > i) holds the rates, so the leaf at L solves
@@ -278,12 +302,17 @@ def _leaf_inverses(weights: np.ndarray, first: int, count: int, rows: int) -> np
     nonnegative blocks, so the inverse is nonnegative and has no cancellation.
     Overflow leaves inf or nan entries, which _block_leaf refuses.
 
-    rows: the entries the table can take from 64 first on. Below 64, only
-    the top-left block that holds them is built, and later steps would not
-    change its digits; the rows past it are not the inverse's.
+    toeplitz: the rates gathered as w_{|j-i|} (weights[_LAGS]); the blocks C
+    read only its strictly lower part. rows: the entries the table can take
+    from 64 first on. Below 64, only the top-left block that holds them is
+    built, and later steps would not change its digits; the rows past it are
+    not the inverse's. out: an array to build into, whose upper triangles
+    are 0 (a build writes every lower entry it reads); returned, else a new
+    one of count inverses.
     """
-    toeplitz = weights[_LAGS]  # w_{|j-i|}: the blocks C read only its strictly lower part
-    inverses = np.zeros((count, _LEAF, _LEAF))
+    if out is None:
+        out = np.zeros((count, _LEAF, _LEAF))
+    inverses = out[:count]
     diagonals = inverses.reshape(count, _LEAF * _LEAF)[:, :: _LEAF + 1]
     entries = np.arange(first * _LEAF, (first + count) * _LEAF, 1.0)
     entries[0] = max(entries[0], 1.0)  # leaf 0's row 0
@@ -300,23 +329,34 @@ def _leaf_inverses(weights: np.ndarray, first: int, count: int, rows: int) -> np
             low = toeplitz[size : 2 * size, :size] @ pairs[..., :size, :size]
             np.matmul(pairs[..., size:, size:], low, out=pairs[..., size:, :size])
             size *= 2
-    return inverses
+    return out
 
 
 class _Inverses:
-    """One table's leaf inverses, built a batch at a time (see _batch)."""
+    """One table's leaf inverses, built a batch at a time (see _batch).
 
-    __slots__ = ("n_max", "first", "count", "batch")
+    The first build gathers the rates' Toeplitz matrix and makes the one
+    array that every batch of the table is built into. Growing the rates
+    keeps the 64 that the matrix reads.
+    """
 
-    def __init__(self, n_max: int):
+    __slots__ = ("weights", "n_max", "first", "count", "toeplitz", "batch")
+
+    def __init__(self, weights: np.ndarray, n_max: int):
+        self.weights = weights
         self.n_max = n_max
         self.first = self.count = 0
-        self.batch = None
+        self.toeplitz = self.batch = None
 
-    def leaf(self, weights: np.ndarray, index: int) -> np.ndarray:
+    def leaf(self, index: int) -> np.ndarray:
         if not self.first <= index < self.first + self.count:
-            first, count = self.first, self.count = _batch(index, self.n_max // _LEAF)
-            self.batch = _leaf_inverses(weights, first, count, self.n_max + 1 - first * _LEAF)
+            last = self.n_max // _LEAF
+            if self.batch is None:
+                self.toeplitz = self.weights[_LAGS]
+                self.batch = np.zeros((min(_BATCH, last + 1), _LEAF, _LEAF))
+            first, count = self.first, self.count = _batch(index, last)
+            rows = self.n_max + 1 - first * _LEAF
+            self.batch = _leaf_inverses(self.toeplitz, first, count, rows, self.batch)
         return self.batch[index - self.first]
 
 
@@ -356,7 +396,7 @@ def _bare_span(
             if pending.size < _LEAF:  # the last leaf, cut by n_max
                 pending = np.concatenate((pending, np.zeros(_LEAF - pending.size)))
             lo, top = max(leaf, start), min(leaf + _LEAF, end)
-            values = inverses.leaf(weights, leaf // _LEAF).dot(pending)
+            values = inverses.leaf(leaf // _LEAF).dot(pending)
             scaled[lo:top] = values[lo - leaf : top - leaf]
         running = scaled[start - 1 : end].copy()
         running[0] = cum
@@ -482,14 +522,15 @@ def _recursion(c: CompoundRep, n_max: int, target: float, blocks: bool) -> np.nd
     # scaled[n] holds f(n) once computed; before that, the pending share of
     # its sum that earlier blocks pushed forward
     cap = min(n_max, 1024) + 1
-    weights = _rates(c, max(cap, _LEAF))  # a leaf inverse reads 64 rates
+    rates = _Rates(c, max(cap, _LEAF))  # a leaf inverse reads 64 rates
+    weights = rates.weights
     scaled = np.zeros(cap)
     scaled[0] = scaled0
     cum = math.ldexp(scaled0, exp2)
     support = 0  # length of the rates without trailing zeros; 0 until a push needs it
     spectra: dict[int, np.ndarray] = {}
     ldexp = math.ldexp
-    inverses = _Inverses(n_max)
+    inverses = _Inverses(weights, n_max)
 
     n = leaf = 0
     # While exp2 is 0, spans of leaves are solved bare (see _bare_span) from
@@ -512,7 +553,7 @@ def _recursion(c: CompoundRep, n_max: int, target: float, blocks: bool) -> np.nd
             h = n & -n
             if cap <= n_max and n + h > cap:
                 cap = min(n_max, 2 * (cap - 1)) + 1
-                weights = _rates(c, cap)
+                weights = rates.grow(cap)
                 scaled = np.concatenate((scaled, np.zeros(cap - scaled.size)))
                 support = 0
             if not support:
@@ -534,7 +575,7 @@ def _recursion(c: CompoundRep, n_max: int, target: float, blocks: bool) -> np.nd
             index = n // _LEAF
             if blocks and index >= _BLOCK_FROM:
                 taken, cum, exp2 = _block_leaf(
-                    inverses.leaf(weights, index), scaled, n, n_max, cum, target, exp2
+                    inverses.leaf(index), scaled, n, n_max, cum, target, exp2
                 )
                 if taken:
                     n += taken - 1

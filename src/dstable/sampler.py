@@ -416,6 +416,9 @@ class ExperimentResult:
     tv_distance: float
     chi_square_stat: float
     bins_used: int
+    # pooled bins with positive expectation, minus 1: the Pearson statistic's
+    # degrees of freedom (bins_used counts the bins before pooling)
+    chi_square_dof: int
 
 
 def pool_counts(
@@ -491,7 +494,9 @@ def tv_against_table(
 
     Bins are the individual support points 0..N plus one pooled tail bin,
     with N chosen by :func:`_support_cut`; the chi-square statistic uses a
-    further pooling to expected counts >= 5. Returns (tv, chi2, bins_used).
+    further pooling to expected counts >= 5. Returns (tv, chi2, bins_used,
+    dof): bins_used counts the bins before that pooling, dof is the number
+    of pooled bins with positive expectation minus 1.
     values may be int64 or an object array of exact ints of any size. A table
     none of whose individual bins expects 5 samples raises a DomainError: all
     samples and all expectation would share the tail bin, and TV would read 0.
@@ -506,7 +511,7 @@ def tv_against_table(
     obs, exp = pool_counts(counts, n_samples * target)
     positive = exp > 0.0
     chi2 = float(np.sum((obs[positive] - exp[positive]) ** 2 / exp[positive]))
-    return tv, chi2, cut + 2
+    return tv, chi2, cut + 2, int(positive.sum()) - 1
 
 
 def stability_experiment(
@@ -542,11 +547,12 @@ def stability_experiment(
     frac2 = (1.0 - rho**p.alpha) ** (1.0 / p.alpha)
     y1 = thin(sample_ds(p, rng, size=n_samples), rho, rng)
     y2 = thin(sample_ds(p, rng, size=n_samples), frac2, rng)
-    tv, chi2, bins_used = tv_against_table(y1 + y2, table, n_samples)
+    tv, chi2, bins_used, dof = tv_against_table(y1 + y2, table, n_samples)
     return ExperimentResult(
         n_samples=n_samples,
         mu=mu,
         tv_distance=tv,
         chi_square_stat=chi2,
         bins_used=bins_used,
+        chi_square_dof=dof,
     )

@@ -200,8 +200,8 @@ def test_criterion_8_sampler_fidelity():
             (sample_ds(p, rng) for _ in range(n)), dtype=np.int64, count=n
         )
         table = quiet_table(p, n_max=2000, tail_bound=1e-9)
-        _, chi2, bins = tv_against_table(values, table, n)
-        pvalue = oracles.chi2_pvalue(chi2, bins - 1)
+        _, chi2, _, dof = tv_against_table(values, table, n)
+        pvalue = oracles.chi2_pvalue(chi2, dof)
         worst_p = min(worst_p, pvalue)
         assert pvalue > 0.001, f"{p}: chi2 = {chi2:.1f}, p = {pvalue:.5f}"
 

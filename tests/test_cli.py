@@ -327,6 +327,15 @@ class TestStabilityTestCommand:
         assert report["passed"] is True
         assert report["mu"] == pytest.approx(1.6)
 
+    def test_reports_pooled_degrees_of_freedom(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "stability-test", "--alpha", "2", "--gamma", "1", "--delta", "2",
+            "--rho", "0.5", "--n", "5000", "--seed", "1", "--format", "json",
+        )
+        report = json.loads(out)
+        assert code == 0
+        assert 1 <= report["chi_square_dof"] <= report["bins_used"] - 1
+
     def test_mu_override_fails(self, capsys):
         code, out, _ = run_cli(
             capsys, "stability-test", "--alpha", "2", "--gamma", "1", "--delta", "4",
@@ -625,8 +634,31 @@ def admissible_rho(alpha, u):
     return max(1.0 + u * (hi - 1.0), math.nextafter(1.0, 2.0))
 
 
+NEAR_ONE = st.floats(min_value=-1e-8, max_value=1e-8).map(lambda d: 1.0 + d)
+# alpha near 0 and within 1e-8 of 1, besides ALPHAS
+EDGE_ALPHAS = st.one_of(
+    ALPHAS, NEAR_ONE, st.floats(min_value=-30.0, max_value=-1.0).map(lambda e: 10.0**e)
+)
+
+
+@st.composite
+def law_flags(draw, alphas=EDGE_ALPHAS, magnitudes=MAGNITUDES):
+    """Flags of a law drawn with gamma's magnitude from magnitudes: delta at
+    alpha gamma (0 below alpha = 1), anywhere, or up to 1e300 |gamma| past it."""
+    alpha, m1 = draw(alphas), draw(magnitudes)
+    m2 = draw(st.one_of(
+        st.just(0.0),
+        MAGNITUDES,
+        st.floats(min_value=-20.0, max_value=300.0).map(lambda e: min(10.0**e * m1, 1e308)),
+    ))
+    return ds_flags(alpha, m1, m2)
+
+
+TAIL_BOUNDS = st.one_of(st.sampled_from([0.0, 1e-12, 1e-6]), MAGNITUDES.map(lambda m: m / 1e20))
+
+
 class TestExitContractProperty:
-    """convert and check exit 0, 2, 3 or 4 at any magnitude a double holds."""
+    """Every subcommand exits 0, 2, 3 or 4 at any magnitude a double holds."""
 
     @CONTRACT
     @given(ALPHAS, MAGNITUDES, MAGNITUDES, st.sampled_from(["compound", "es"]))
@@ -659,3 +691,37 @@ class TestExitContractProperty:
             # only the point mass lacks a compound form
             report = json.loads(out)
             assert (report["compound"] is None) == report["is_degenerate"]
+
+    @CONTRACT
+    @given(law_flags(), st.integers(0, 200), TAIL_BOUNDS, st.sampled_from(["pmf", "cdf"]))
+    @example(["--alpha=5e-324", "--gamma=-1.0", "--delta=0.0"], 64, 0.0, "pmf")  # no rates
+    def test_tables(self, flags, nmax, tail_bound, command):
+        argv = [command, *flags, "--nmax", str(nmax), f"--tail-bound={tail_bound!r}"]
+        assert exit_code(*argv) in (0, 2, 3, 4)
+
+    @CONTRACT
+    @given(law_flags(), st.integers(1, 50), st.integers(0, 2**32 - 1))
+    def test_sample(self, flags, n, seed):
+        argv = ["sample", *flags, "--n", str(n), "--seed", str(seed), "--format", "json"]
+        code, out = exit_and_stdout(*argv)
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            assert len(json.loads(out)["values"]) == n
+
+    @CONTRACT
+    @given(st.integers(0, 200), TAIL_BOUNDS)
+    def test_plot_data(self, nmax, tail_bound):
+        assert exit_code("plot-data", "--nmax", str(nmax), f"--tail-bound={tail_bound!r}") == 0
+
+    # Each example draws and thins 2000 variates: few examples, a core rate
+    # (which sets a draw's cost) below 1e2, and alpha from 1e-3. Below that,
+    # draws are integers of 4.8/alpha bits, and thin costs ~1.5 s for one of
+    # them at alpha = 1e-6.
+    @settings(CONTRACT, max_examples=20)
+    @given(law_flags(st.one_of(st.sampled_from([1e-3, 1.0, 2.0]), NEAR_ONE,
+                               st.floats(min_value=1e-3, max_value=2.0)),
+                     st.floats(min_value=-20.0, max_value=2.0).map(lambda e: 10.0**e)),
+           st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    def test_stability_test(self, flags, rho):
+        argv = ["stability-test", *flags, f"--rho={rho!r}", "--n", "1000", "--seed", "1"]
+        assert exit_code(*argv) in (0, 2, 3, 4)

@@ -41,7 +41,7 @@ from dstable.errors import (
     TailBoundUnreachable,
 )
 from dstable.genfun import _pgf_from_one
-from dstable.pmf import _LEAF, _TABLE_CAP, _log_survival, bsib_pmf_array
+from dstable.pmf import _LAGS, _LEAF, _TABLE_CAP, _log_survival, bsib_pmf_array
 
 import oracles
 from conftest import PARAM_GRID
@@ -464,7 +464,7 @@ class TestBlockLeaves:
     def test_leaf_inverse_is_nonnegative_and_exact(self):
         c = ds_to_compound(DSParams(0.5, -1.0, 0.0))
         weights = c.lam * np.arange(65.0) * bsib_pmf_array(c.summand, 64)
-        inverses = pmf_module._leaf_inverses(weights, 2, 2, 10**4)
+        inverses = pmf_module._leaf_inverses(weights[_LAGS], 2, 2, 10**4)
         lags = np.subtract.outer(np.arange(_LEAF), np.arange(_LEAF))
         rates = np.where(lags > 0, weights[np.abs(lags)], 0.0)
         for k, inverse in enumerate(inverses):
@@ -476,14 +476,14 @@ class TestBlockLeaves:
     def test_inverse_digits_independent_of_batch(self):
         # a table's batches end at n_max's leaf, and its last leaf may build only
         # the top-left block its entries need: neither may move a digit
-        weights = pmf_module._rates(ds_to_compound(DSParams(1.3, 1.0, 2.0)), 2048)
-        batch = pmf_module._leaf_inverses(weights, 16, 16, 10**4)
+        toeplitz = pmf_module._Rates(ds_to_compound(DSParams(1.3, 1.0, 2.0)), 2048).weights[_LAGS]
+        batch = pmf_module._leaf_inverses(toeplitz, 16, 16, 10**4)
         for k in (0, 5, 15):
-            alone = pmf_module._leaf_inverses(weights, 16 + k, 1, 10**4)[0]
+            alone = pmf_module._leaf_inverses(toeplitz, 16 + k, 1, 10**4)[0]
             assert np.array_equal(alone, batch[k])
         for rows in (1, 3, 17, 40):
             top = 1 << (rows - 1).bit_length()
-            part = pmf_module._leaf_inverses(weights, 16, 1, rows)[0]
+            part = pmf_module._leaf_inverses(toeplitz, 16, 1, rows)[0]
             assert np.array_equal(part[:top, :top], batch[0][:top, :top])
 
     def test_solve_stops_short_of_a_non_finite_value(self):
@@ -542,8 +542,8 @@ class TestBareSpans:
         planted_leaf = span + _LEAF
         build = pmf_module._leaf_inverses
 
-        def planted(weights, first, count, rows):
-            inverses = build(weights, first, count, rows)
+        def planted(toeplitz, first, count, rows, out):
+            inverses = build(toeplitz, first, count, rows, out)
             k = planted_leaf // _LEAF - first
             if 0 <= k < count:
                 inverses[k][10, 3] = math.inf
@@ -598,8 +598,8 @@ class TestBareSpans:
         assert np.max(np.abs(got - clean) / clean) <= 1e-13
 
     def test_leaf_zero_inverse_is_nonnegative_and_exact(self):
-        weights = pmf_module._rates(ds_to_compound(DSParams(0.5, -1.0, 0.0)), 64)
-        inverse = pmf_module._leaf_inverses(weights, 0, 2, 10**4)[0]
+        weights = pmf_module._Rates(ds_to_compound(DSParams(0.5, -1.0, 0.0)), 64).weights
+        inverse = pmf_module._leaf_inverses(weights[_LAGS], 0, 2, 10**4)[0]
         lags = np.subtract.outer(np.arange(_LEAF), np.arange(_LEAF))
         rates = np.where(lags > 0, weights[np.abs(lags)], 0.0)
         # diag(1, 1, 2, .., 63) - W: row 0 is the identity, f(0) being given
@@ -625,6 +625,64 @@ class TestBareSpans:
                 assert np.max(np.abs(got - want)) <= 1e-16
         bare = sum(1 for raw in PARAM_GRID if raw[0] < 2.0 and raw[1] != 0.0)
         assert calls == [1] * (4 * bare)
+
+
+class TestTableState:
+    """Rates grown in place, one Toeplitz and one inverse array per table."""
+
+    @pytest.mark.parametrize("raw", PARAM_GRID + HEAVY_TAILS)
+    def test_grown_rates_equal_rates_from_scratch(self, raw):
+        c = ds_to_compound(DSParams(*raw))
+        rates = pmf_module._Rates(c, _LEAF)
+        for size in (1 << bits for bits in range(6, 17)):
+            # the rates as computed anew at each size before they grew in place
+            scratch = c.lam * np.arange(size, dtype=np.float64)
+            scratch *= bsib_pmf_array(c.summand, size - 1)
+            assert rates.grow(size).tobytes() == scratch.tobytes(), size
+
+    @pytest.mark.parametrize("raw", PARAM_GRID + HEAVY_TAILS)
+    def test_masses_independent_of_n_max_across_batches(self, raw):
+        # 1025 and 1050 build only the top of their last leaf, and 1087 and
+        # 2111 a whole one, each into the array a full batch used before
+        p = DSParams(*raw)
+        full = make_table(p, n_max=4000, tail_bound=0.0).masses
+        for n in (1023, 1024, 1025, 1050, 1087, 2047, 2111, 3000):
+            short = make_table(p, n_max=n, tail_bound=0.0).masses
+            assert short.size == min(n + 1, full.size), n
+            assert short.tolist() == full[: short.size].tolist(), n
+
+    def test_batches_hold_16_leaves_from_leaf_0(self):
+        assert [pmf_module._batch(i, 40) for i in (0, 1, 2, 15, 16, 31, 32, 40)] == (
+            4 * [(0, 16)] + 2 * [(16, 16)] + 2 * [(32, 9)]
+        )
+        assert pmf_module._batch(0, 0) == (0, 1)
+        assert pmf_module._batch(2, 3) == (0, 4)
+        assert pmf_module._batch(16, 16) == (16, 1)
+
+    @pytest.mark.parametrize("raw", [(1.3, 1.0, 2.0), (1.5, 1.0, 1000.0)])
+    def test_one_toeplitz_and_one_array_per_table(self, raw, monkeypatch):
+        # lam = 999 solves leaves 0 and 1 by the loop, yet its batches start at leaf 0
+        builds = []
+        build = pmf_module._leaf_inverses
+
+        def spy(toeplitz, first, count, rows, out):
+            builds.append((toeplitz, first, count, out))
+            return build(toeplitz, first, count, rows, out)
+
+        monkeypatch.setattr(pmf_module, "_leaf_inverses", spy)
+        make_table(DSParams(*raw), n_max=3000, tail_bound=0.0)
+        assert [(first, count) for _, first, count, _ in builds] == [(0, 16), (16, 16), (32, 15)]
+        toeplitz, out = builds[0][0], builds[0][3]
+        assert all(b[0] is toeplitz and b[3] is out for b in builds)
+        assert out.shape == (pmf_module._BATCH, _LEAF, _LEAF)
+
+    def test_law_without_rates(self):
+        # alpha = 5e-324: every jump mass underflows, so no push has rates to
+        # apply, and the table holds f(0) and its honest tail
+        with pytest.warns(TailBoundUnreachable):
+            table = ds_pmf(DSParams(5e-324, -1.0, 0.0), n_max=3000)
+        assert table.masses[0] == math.exp(-1.0)
+        assert not table.masses[1:].any()
 
 
 # the parent's max relative error against the long-double recursion up to

@@ -334,8 +334,8 @@ class TestSampleDSArray:
                 table = ds_pmf(p, n_max=2000, tail_bound=1e-9)
             # heavy-tail draws past int64 (exact ints) all land in the tail bin
             clipped = np.minimum(values, len(table)).astype(np.int64)
-            _, chi2, bins = tv_against_table(clipped, table, n)
-            pvalue = oracles.chi2_pvalue(chi2, bins - 1)
+            _, chi2, _, dof = tv_against_table(clipped, table, n)
+            pvalue = oracles.chi2_pvalue(chi2, dof)
             assert pvalue > 0.001, f"{p}: chi2 = {chi2:.1f}, p = {pvalue:.5f}"
 
     def test_small_alpha_exact_ints(self):
@@ -350,7 +350,7 @@ class TestSampleDSArray:
     def test_stability_experiment_small_alpha(self):
         result = stability_experiment(DSParams(0.05, -1.0, 0.0), 0.3, 1000, RngStream(25))
         assert result.mu == 0.0
-        assert oracles.chi2_pvalue(result.chi_square_stat, result.bins_used - 1) > 0.001
+        assert oracles.chi2_pvalue(result.chi_square_stat, result.chi_square_dof) > 0.001
 
 
 # the first 20 draws of sample_bsib, recorded before the DS sampler split off
@@ -557,7 +557,7 @@ class TestThin:
             [thin(sample_ds(p, rng), a, rng) for _ in range(n)], dtype=np.int64
         )
         table = ds_pmf(thin_params(p, a), n_max=400, tail_bound=1e-10)
-        tv, _, _ = tv_against_table(values, table, n)
+        tv = tv_against_table(values, table, n)[0]
         assert tv < 0.02
 
 
@@ -740,6 +740,17 @@ class TestTvAgainstTable:
             table = ds_pmf(DSParams(1.0, 0.0, 2e4), n_max=100, tail_bound=1e-12)
         with pytest.raises(DomainError, match="vacuous"):
             tv_against_table(np.zeros(1000, dtype=np.int64), table, 1000)
+
+
+    def test_dof_counts_the_pooled_bins(self):
+        # Hermite DS(2, 1, 2) has no odd masses: pooling merges each into the
+        # next bin, so the statistic has fewer degrees of freedom than bins
+        p, n = DSParams(2.0, 1.0, 2.0), 10**5
+        table = ds_pmf(p, n_max=100, tail_bound=1e-12)
+        _, _, bins, dof = tv_against_table(sample_ds(p, RngStream(5012), size=n), table, n)
+        target = np.append(table.masses[: bins - 1], 1.0 - float(table.cdf_values[bins - 2]))
+        pooled = pool_counts(np.zeros(bins), n * target)[1]
+        assert dof == pooled.size - 1 < bins - 1
 
 
 class TestPoolCounts:
