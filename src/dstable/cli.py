@@ -29,7 +29,7 @@ from .params import (
     es_to_ds,
 )
 from .pmf import ds_pmf, moments
-from .sampler import RngStream, sample_ds, stability_experiment
+from .sampler import RngStream, _draws, stability_experiment
 
 __all__ = ["main"]
 
@@ -73,30 +73,31 @@ def _json_render(obj) -> str:
     raise TypeError(f"cannot render {type(obj)!r}")
 
 
-def _cells(column, fmt: str) -> list[str]:
-    """One table column as text, dispatched once on its first value's type.
+def _emit_table(fmt: str, schema: str, header: list[str], columns: list) -> None:
+    """Write equal-length, nonempty columns as one CSV table or one JSON object.
 
     Floats print at 17 significant digits, ints as they are, and strings as
-    JSON strings in JSON output. Table values are finite.
+    JSON strings in JSON output. Table values are finite. The whole table is
+    formatted by one % template (a CSV row's, repeated over the rows), the
+    spec of each column chosen once from its first value.
     """
-    if isinstance(column[0], float):
-        return [format(v, ".17g") for v in column]
-    if isinstance(column[0], str) and fmt == "json":
-        return [json.dumps(v) for v in column]
-    return [str(v) for v in column]
-
-
-def _emit_table(fmt: str, schema: str, header: list[str], columns: list) -> None:
-    """Write equal-length, nonempty columns as one CSV table or one JSON object."""
-    cells = [_cells(column, fmt) for column in columns]
+    rows = len(columns[0])
+    specs = ["%.17g" if isinstance(column[0], float) else "%s" for column in columns]
     if fmt == "csv":
-        text = "\n".join([",".join(header), *map(",".join, zip(*cells))])
+        values = [None] * (rows * len(columns))
+        for i, column in enumerate(columns):
+            values[i :: len(columns)] = column
+        template = ",".join(header) + "\n" + (",".join(specs) + "\n") * rows
     else:
-        body = "".join(
-            f", {json.dumps(name)}: [{', '.join(col)}]" for name, col in zip(header, cells)
-        )
-        text = f'{{"schema": {json.dumps(schema)}{body}}}'
-    sys.stdout.write(text + "\n")
+        values = []
+        template = '{"schema": ' + json.dumps(schema)
+        for name, spec, column in zip(header, specs, columns):
+            if isinstance(column[0], str):
+                column = list(map(json.dumps, column))
+            values += column
+            template += f", {json.dumps(name)}: [{', '.join([spec] * rows)}]"
+        template += "}\n"
+    sys.stdout.write(template % tuple(values))
 
 
 def _emit_report(fmt: str, schema: str, report: dict) -> None:
@@ -156,7 +157,7 @@ def _cmd_sample(args) -> int:
         raise DstableError(f"--n must be >= 1, got {args.n}")
     p = _ds_from_args(args)
     rng = RngStream(args.seed)
-    values = [sample_ds(p, rng) for _ in range(args.n)]
+    values = _draws(p, rng, args.n)
     # render everything first, so a failure leaves stdout empty
     try:
         cells = list(map(str, values))
@@ -282,13 +283,18 @@ def _add_format_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The dstable parser, built on first use and shared by every later call.
 
     Parsing leaves no state on it: each parse_args call returns a fresh
     namespace with every default filled in.
     """
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The root parser and each subcommand's parser, by name, built once."""
     parser = argparse.ArgumentParser(
         prog="dstable",
         description="Discrete stable distribution tables, checks, and sampling.",
@@ -350,11 +356,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_flag(sub)
     sub.set_defaults(handler=_cmd_plot_data)
 
-    return parser
+    return parser, commands.choices
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    root, commands = _parsers()
+    # A request naming a subcommand goes to its parser alone, as the root
+    # parser would pass it on. Any other request, or one with arguments the
+    # subcommand does not know, is the root parser's: it prints the usage
+    # error (exit 2) or the top-level help.
+    sub = commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, unknown = sub.parse_known_args(argv[1:])
+    if sub is None or unknown:
+        args = root.parse_args(argv)
     try:
         return args.handler(args)
     except DstableError as exc:

@@ -160,16 +160,20 @@ def sample_poisson(rate: float, rng: RngStream) -> int:
     rate = float(rate)
     if not (math.isfinite(rate) and rate >= 0.0):
         raise DomainError(f"Poisson rate must be finite and >= 0, got {rate}")
-    return _poisson(rate, rng)
+    return _poisson_draw(rate, rng._gen)()
 
 
-def _poisson(rate: float, rng: RngStream) -> int:
-    """:func:`sample_poisson` for a rate already known to be finite and >= 0."""
+def _poisson_draw(rate: float, gen: Generator):
+    """A function of no arguments that draws one Poisson(rate) variate from gen.
+
+    For a rate already known to be finite and >= 0, as sample_poisson draws it.
+    """
     if rate == 0.0:
-        return 0
+        return lambda: 0
     if rate < _POISSON_EXACT_MAX:
-        return rng.poisson(rate)
-    return _poisson_limit(rate, rng.normal())
+        return functools.partial(gen.poisson, rate)  # a Python int
+    normal = gen.standard_normal
+    return lambda: _poisson_limit(rate, normal())
 
 
 def _poisson_array(rate: float, size: int, rng: RngStream) -> np.ndarray:
@@ -285,21 +289,39 @@ def sample_ds(p: DSParams, rng: RngStream, size: int | None = None) -> int | np.
     """
     if size is not None:
         return _sample_ds_array(p, rng, size)
+    return _draws(p, rng, 1)[0]
+
+
+def _draws(p: DSParams, rng: RngStream, n: int) -> list[int]:
+    """n scalar DS variates, as n calls of sample_ds(p, rng) draw them.
+
+    The rates, the core table and the generator's methods are looked up once
+    for all n. A variate past the jump budget raises before its jumps.
+    """
     rate, core_rate = _split_rates(p.alpha, p.gamma, p.delta)
-    total = _poisson(rate, rng)
-    count = _poisson(core_rate, rng)
+    gen = rng._gen
+    part, jump_count = _poisson_draw(rate, gen), _poisson_draw(core_rate, gen)
+    values = []
     if p.alpha == 2.0:  # every core jump is 2
-        return total + 2 * count
-    if count > _JUMP_BUDGET:
-        raise _jump_budget_error(core_rate)
-    if count > _SCALAR_JUMPS_MAX:
-        # the same uniforms in the same order: draw_array forms u - 1 = -t exactly
-        return total + int(_core_table(p.alpha).draw_array(rng._gen.random(count)).sum())
-    if count:
-        draw = _core_table(p.alpha).draw
-        for _ in range(count):
-            total += draw(1.0 - rng.random())
-    return total
+        for _ in range(n):
+            total = part()
+            values.append(total + 2 * jump_count())
+        return values
+    table = _core_table(p.alpha)
+    draw, random = table.draw, gen.random
+    for _ in range(n):
+        total = part()
+        count = jump_count()
+        if count > _SCALAR_JUMPS_MAX:
+            if count > _JUMP_BUDGET:
+                raise _jump_budget_error(core_rate)
+            # the same uniforms in the same order: draw_array forms u - 1 = -t exactly
+            total += int(table.draw_array(random(count)).sum())
+        else:
+            for _ in range(count):
+                total += draw(1.0 - random())
+        values.append(total)
+    return values
 
 
 def _sample_ds_array(p: DSParams, rng: RngStream, size: int) -> np.ndarray:

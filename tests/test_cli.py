@@ -14,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dstable import DSParams, ds_pmf
-from dstable.cli import _PLOT_SET, main
+from dstable.cli import _PLOT_SET, build_parser, main
+from dstable.errors import DstableError
 
 import oracles
 
@@ -494,6 +495,97 @@ class TestExitCodeContract:
         assert proc.returncode == 2
 
 
+def root_parse(argv):
+    """Exit code, stdout and stderr of argv parsed by the root parser, then handled."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = build_parser().parse_args(argv)
+            try:
+                code = args.handler(args)
+            except DstableError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                code = 2
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def main_output(argv):
+    """root_parse's triple, from main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+DS = ["--alpha", "1.5", "--gamma", "1", "--delta", "3"]
+
+
+class TestDirectParse:
+    """main parses a request naming a subcommand with that subcommand's parser alone."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pmf", *DS, "--nmax", "20"],
+            ["cdf", *DS, "--nmax", "20", "--format", "json"],
+            ["sample", *DS, "--n", "5", "--seed", "3"],
+            ["check", *DS, "--rho", "0.3", "0.6"],
+            ["stability-test", "--alpha", "2", "--gamma", "1", "--delta", "4", "--rho", "0.6",
+             "--n", "1000", "--seed", "1"],
+            ["convert", "--from", "ds", "--to", "es", *DS],
+            ["convert", "--from", "ds", "--to", "compound"],  # the handler's usage error
+            ["plot-data", "--nmax", "5", "--format", "json"],
+            ["pmf", "--alpha", "1"],  # missing required flags
+            ["sample", *DS, "--n"],  # a flag without its value
+            ["pmf", *DS, "--format", "xml"],  # bad choice
+            ["cdf", "--alpha", "one", "--gamma", "1", "--delta", "3"],  # bad type
+            ["check", *DS, "--bogus", "1"],  # unknown option
+            ["plot-data", "extra"],  # unknown positional
+            ["plot-data", "--nmax", "5", "--", "extra"],
+            ["pmf", "--alph", "1.5", "--gam", "1", "--del", "3", "--nm", "9"],  # abbreviated
+            ["convert", "--f", "ds", "--to", "es", *DS],  # ambiguous: --from or --format
+            ["stability-test", "-h"],
+            ["pmf", "--help"],
+            ["convert", *DS, "--help"],
+            ["-h"],
+            ["--help"],
+            ["-h", "pmf"],
+            [],
+            ["frobnicate"],
+            ["frobnicate", "--alpha", "1"],
+            ["--alpha", "1", "pmf"],
+        ],
+        ids=str,
+    )
+    def test_same_as_root_parser(self, argv):
+        got = main_output(list(argv))
+        assert got == root_parse(list(argv))
+        assert got[0] in (0, 2, 3, 4)
+
+    def test_one_parse_per_request(self, monkeypatch):
+        parses = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counting(parser, *args, **kwargs):
+            parses.append(parser.prog)
+            return parse_known_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        main_output(["convert", "--from", "ds", "--to", "es", *DS])
+        assert parses == ["dstable convert"]
+
+    def test_reads_sys_argv(self, monkeypatch):
+        argv = ["convert", "--from", "ds", "--to", "compound", *DS]
+        monkeypatch.setattr(sys, "argv", ["dstable", *argv])
+        assert main_output(None) == root_parse(argv)
+        assert main_output(None)[0] == 0
+
+
 def render_rows(fmt, schema, header, rows):
     """A table as printed one row and one value at a time."""
 
@@ -580,7 +672,26 @@ class TestRepeatedCalls:
         assert out == render_rows(fmt, "cdf", ["n", "cdf"], [list(row) for row in zip(n, cum)])
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("nmax", [0, 1, 20])
+    @pytest.mark.parametrize(
+        "law", [(1.5, 1.0, 1000.0), (0.5, -1.0, 0.0), (1.5, 1.0, 3.0)], ids=str
+    )
+    def test_long_tables_equal_row_by_row_rendering(self, capsys, fmt, law):
+        # 3001 rows with no tail bound, in exponent form; at lam = 999 the
+        # masses rise from 0 through the subnormals
+        flags = ["--alpha", repr(law[0]), "--gamma", repr(law[1]), "--delta", repr(law[2]),
+                 "--nmax", "3000", "--tail-bound", "0", "--format", fmt]
+        table = quiet_pmf(DSParams(*law), 3000, 0.0)
+        masses, cum = table.masses.tolist(), table.cdf_values.tolist()
+        assert len(table) == 3001
+        assert any("e-" in format(m, ".17g") for m in masses)
+        if law[2] == 1000.0:
+            assert any(0.0 < m < sys.float_info.min for m in masses)
+        _, out, _ = run_cli(capsys, "pmf", *flags)
+        assert out == render_rows(fmt, "pmf", ["n", "pmf", "cdf"],
+                                  [list(row) for row in zip(range(3001), masses, cum)])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("nmax", [0, 1, 20, 3000])
     def test_plot_data_equals_row_by_row_rendering(self, capsys, fmt, nmax):
         rows = []
         for label, alpha, gamma, delta in _PLOT_SET:

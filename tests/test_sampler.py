@@ -36,6 +36,7 @@ from dstable.sampler import (
     _TABLE_CACHE_SIZE,
     _CoreTable,
     _core_table,
+    _draws,
     _reference_table,
     _split_rates,
     _support_cut,
@@ -351,6 +352,46 @@ class TestSampleDSArray:
         result = stability_experiment(DSParams(0.05, -1.0, 0.0), 0.3, 1000, RngStream(25))
         assert result.mu == 0.0
         assert oracles.chi2_pvalue(result.chi_square_stat, result.chi_square_dof) > 0.001
+
+
+class TestDrawLoop:
+    """_draws(p, rng, n), the loop behind `dstable sample`, against n scalar calls."""
+
+    @pytest.mark.parametrize(
+        "raw",
+        [*PARAM_GRID, (1.5, 1.0, 21.0), (1.5, 20.0, 40.0), (1.0, 0.0, 1e19), (2.0, 1e17, 1e18)],
+        ids=str,
+    )
+    def test_equals_scalar_calls(self, raw):
+        # (1.5, 20, 40) has core rate 10, so most counts pass _SCALAR_JUMPS_MAX
+        # and take draw_array; Poisson(1e19) and the Hermite law take the normal limit
+        p = DSParams(*raw)
+        loop, scalar = RngStream(46), RngStream(46)
+        got = _draws(p, loop, 300)
+        assert got == [sample_ds(p, scalar) for _ in range(300)]
+        assert all(type(v) is int for v in got)
+        assert loop.random() == scalar.random()  # the same draws, no more
+
+    def test_draw_array_branch_taken(self, monkeypatch):
+        calls = []
+        draw_array = _CoreTable.draw_array
+
+        def spy(table, u):
+            calls.append(u.size)
+            return draw_array(table, u)
+
+        monkeypatch.setattr(_CoreTable, "draw_array", spy)
+        _draws(DSParams(1.5, 20.0, 40.0), RngStream(46), 50)
+        assert calls and min(calls) > _SCALAR_JUMPS_MAX
+
+    def test_jump_budget(self):
+        with pytest.raises(DomainError, match="core jumps"):
+            _draws(TestJumpBudget.HUGE, RngStream(47), 3)
+
+    def test_zero_draws(self):
+        rng = RngStream(48)
+        assert _draws(DSParams(1.3, 1.0, 2.0), rng, 0) == []
+        assert rng.random() == RngStream(48).random()
 
 
 # the first 20 draws of sample_bsib, recorded before the DS sampler split off
