@@ -72,10 +72,12 @@ _TAIL_BITS_MAX = 1 << 24
 # goodness-of-fit bins stop where fewer than this many samples are expected
 _MIN_EXPECTED = 5.0
 # stability_experiment's reference table: its longest length and its
-# coverage; self-decomposable laws start short and grow by _REFERENCE_GROWTH
+# coverage; self-decomposable laws start short and grow by _REFERENCE_GROWTH.
+# n_max 63 gives 64 entries, one ds_pmf leaf: 64 would build a second leaf
+# inverse for one entry.
 _REFERENCE_N_MAX = 10_000
 _REFERENCE_TAIL = 1e-6
-_REFERENCE_START = 64
+_REFERENCE_START = 63
 _REFERENCE_GROWTH = 4
 # relative slack on the stopping comparisons, far above the masses' rounding
 _UNIMODAL_MARGIN = 1e-6
@@ -91,6 +93,9 @@ _BINOMIAL_EXACT_MAX = 10**17
 # ~1e16 on its variance reads ~1.5 rate, and past ~9.2e18 it refuses. From
 # here on the normal limit, O(rate^-1/2), is the smaller error.
 _POISSON_EXACT_MAX = float(1 << 33)
+# _round_normal takes the exact integer square root of a variance up to this
+# many bits, and above it the root of its leading bits
+_ROOT_EXACT_BITS = 4096
 
 
 class RngStream:
@@ -138,10 +143,16 @@ def _round_normal(mean_num: int, var_num: int, den: int, z: float) -> int:
     v = var_num/den^2, for the standard normal z: it stands in for numpy's
     Poisson and binomial draws where those lose accuracy or refuse the
     input, with an error of O(v^-1/2) in total variation. Integer arithmetic
-    keeps it exact past the float range.
+    keeps it exact past the float range. Past _ROOT_EXACT_BITS the square
+    root comes from the top 128 or more bits of var_num, within a relative
+    2^-63 of the exact one: the exact root costs time superlinear in the bits
+    (0.38 s at 1e6 bits).
     """
     zn, zd = z.as_integer_ratio()
-    scaled = mean_num * zd + math.isqrt(var_num) * zn
+    shift = 0
+    if var_num.bit_length() > _ROOT_EXACT_BITS:
+        shift = (var_num.bit_length() - 128) >> 1
+    scaled = mean_num * zd + (math.isqrt(var_num >> 2 * shift) << shift) * zn
     return max((2 * scaled + den * zd) // (2 * den * zd), 0)
 
 

@@ -32,6 +32,7 @@ from dstable.sampler import (
     _JUMP_BATCH,
     _JUMP_BUDGET,
     _POISSON_EXACT_MAX,
+    _ROOT_EXACT_BITS,
     _SCALAR_JUMPS_MAX,
     _TABLE_CACHE_SIZE,
     _CoreTable,
@@ -549,6 +550,34 @@ class TestThin:
         x = 10**400
         draw = thin(x, 0.25, rng)
         assert abs(draw - x // 4) < 10 * math.isqrt(x * 3 // 16)
+
+    @pytest.mark.parametrize(
+        "x", [10**400, 2**3900, 2**4000, 2**10_000 + 7, 3**30_000], ids=lambda x: x.bit_length()
+    )
+    def test_normal_limit_against_exact_root(self, x):
+        # the variance numerator x num (den - num) has ~106 bits more than x:
+        # exact up to _ROOT_EXACT_BITS, then within a relative 2^-63 of the exact root
+        a = 0.3
+        num, den = a.as_integer_ratio()
+        z = RngStream(49).normal()
+        zn, zd = z.as_integer_ratio()
+        var_num = x * num * (den - num)
+        root = math.isqrt(var_num)
+        want = min(max((2 * (x * num * zd + root * zn) + den * zd) // (2 * den * zd), 0), x)
+        got = thin(x, a, RngStream(49))
+        if var_num.bit_length() <= _ROOT_EXACT_BITS:
+            assert got == want
+        else:
+            assert got != x // 2  # the draw moved off the mean
+            assert abs(got - want) <= (root // den * math.ceil(abs(z)) >> 62) + 1
+
+    def test_huge_counts_fast(self):
+        # the exact roots of 200 variances of ~5e5 bits take ~17 s (~0.08 s each)
+        x = np.array([(1 << 500_000) + 7919 * k for k in range(200)], dtype=object)
+        start = time.perf_counter()
+        out = thin(x, 0.3, RngStream(50))
+        assert time.perf_counter() - start < 1.0
+        assert all(0 <= t <= v for t, v in zip(out, x))
 
     def test_array_forms(self):
         rng = RngStream(26)
