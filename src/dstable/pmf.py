@@ -82,6 +82,10 @@ _SPAN = 512
 _LAGS = np.abs(np.subtract.outer(np.arange(_LEAF), np.arange(_LEAF)))
 # Pushes from blocks at least this long use the FFT, shorter ones np.convolve.
 _FFT_MIN = 512
+# An FFT push adds the rates of lags below this by a direct product. The
+# far-tail error to n = 4000 (DS(1.5, 1, 21), against long double) was 7.5e-11
+# with every lag in the FFT, 1.8e-14 with 128 split off and 3.7e-14 with 64.
+_NEAR_LAGS = 128
 
 # Sibuya-core survival tables stop here; past it S(n) takes the closed form
 _TABLE_CAP = 1 << 16
@@ -266,13 +270,22 @@ def _push(
         return
     lo = max(e - h, e - support + 1)
     if e - lo >= _FFT_MIN:
-        # cyclic convolution of length 2h: outputs h..2h-1 take no wrapped terms
+        # cyclic convolution of length 2h: outputs h..2h-1 take no wrapped
+        # terms. Its roundoff scales with the largest rate it carries, so the
+        # lags below _NEAR_LAGS, which hold w_1 (the unit jumps), are cut from
+        # its spectrum and added by a direct product over the block's last entries.
         size = 2 * h
         spectrum = spectra.get(h)
         if spectrum is None:
-            spectrum = spectra[h] = np.fft.rfft(weights[:size], size)
+            far = weights[:size].copy()
+            far[:_NEAR_LAGS] = 0.0
+            spectrum = spectra[h] = np.fft.rfft(far, size)
         block = np.fft.rfft(scaled[e - h : e], size)
-        scaled[e:top] += np.fft.irfft(block * spectrum, size)[h : h + top - e]
+        sums = np.fft.irfft(block * spectrum, size)[h : h + top - e]
+        k = _NEAR_LAGS - 1
+        near = np.convolve(weights[1:_NEAR_LAGS], scaled[e - k : e])[k - 1 :]
+        sums[:k] += near[: sums.size]
+        scaled[e:top] += sums
     else:
         scaled[e:top] += np.convolve(weights[1 : top - lo], scaled[lo:e], "valid")
 

@@ -685,13 +685,19 @@ class TestTableState:
         assert not table.masses[1:].any()
 
 
-# the parent's max relative error against the long-double recursion up to
-# n = 4000, rounded up to one significant figure: 8.6e-11, 1.3e-11, 2.9e-12, 4.6e-15
+# max relative error against the long-double recursion up to n = 4000. The
+# first four bounds are the errors measured while the FFT pushes carried every
+# lag, rounded up to one significant figure (8.6e-11, 1.3e-11, 2.9e-12,
+# 4.6e-15); with the lags below 128 split off, the first three measure
+# 1.8e-14, 1.5e-14 and 1.4e-14. The last two are 10x their errors with the
+# split (6.3e-14, 2.1e-14); without it they measured 2.1e-9 and 3.0e-10.
 FAR_TAIL_BOUNDS = {
     (1.5, 1.0, 21.0): 9e-11,
     (1.5, 1.0, 3.0): 2e-11,
     (1.3, 1.0, 2.0): 3e-12,
     (0.5, -1.0, 0.0): 5e-15,
+    (1.9, 0.5, 3.0): 6.3e-13,
+    (1.5, 1.0, 100.0): 2.1e-13,
 }
 
 
@@ -699,23 +705,7 @@ FAR_TAIL_BOUNDS = {
     np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
     reason="long double is double here",
 )
-@pytest.mark.parametrize(
-    "raw",
-    [
-        pytest.param(
-            raw,
-            # not strict: the BLAS kernels are in these digits, so another
-            # CPU may land either side of the bound
-            marks=pytest.mark.xfail(
-                reason="finding: 3.002e-12 at n = 3586, where the FFT pushes' roundoff "
-                "peaks; leaves 0 and 1 by inverse move the digits that feed them",
-            ),
-        )
-        if raw == (1.3, 1.0, 2.0)
-        else raw
-        for raw in FAR_TAIL_BOUNDS
-    ],
-)
+@pytest.mark.parametrize("raw", FAR_TAIL_BOUNDS)
 def test_far_tail_parity_with_long_double(raw):
     p = DSParams(*raw)
     want = oracles.longdouble_ds_pmf(p, 4000)
