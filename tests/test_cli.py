@@ -495,31 +495,19 @@ class TestExitCodeContract:
         assert proc.returncode == 2
 
 
-def root_parse(argv):
-    """Exit code, stdout and stderr of argv parsed by the root parser, then handled."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+def root_parse(capsys, *argv):
+    """run_any's triple for argv parsed by the root parser, then handled as main does."""
+    try:
+        args = build_parser().parse_args(list(argv))
         try:
-            args = build_parser().parse_args(argv)
-            try:
-                code = args.handler(args)
-            except DstableError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                code = 2
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
-def main_output(argv):
-    """root_parse's triple, from main(argv)."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
+            code = args.handler(args)
+        except DstableError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 DS = ["--alpha", "1.5", "--gamma", "1", "--delta", "3"]
@@ -562,12 +550,12 @@ class TestDirectParse:
         ],
         ids=str,
     )
-    def test_same_as_root_parser(self, argv):
-        got = main_output(list(argv))
-        assert got == root_parse(list(argv))
+    def test_same_as_root_parser(self, capsys, argv):
+        got = run_any(capsys, *argv)
+        assert got == root_parse(capsys, *argv)
         assert got[0] in (0, 2, 3, 4)
 
-    def test_one_parse_per_request(self, monkeypatch):
+    def test_one_parse_per_request(self, capsys, monkeypatch):
         parses = []
         parse_known_args = argparse.ArgumentParser.parse_known_args
 
@@ -576,14 +564,16 @@ class TestDirectParse:
             return parse_known_args(parser, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
-        main_output(["convert", "--from", "ds", "--to", "es", *DS])
+        run_cli(capsys, "convert", "--from", "ds", "--to", "es", *DS)
         assert parses == ["dstable convert"]
 
-    def test_reads_sys_argv(self, monkeypatch):
+    def test_reads_sys_argv(self, capsys, monkeypatch):
         argv = ["convert", "--from", "ds", "--to", "compound", *DS]
         monkeypatch.setattr(sys, "argv", ["dstable", *argv])
-        assert main_output(None) == root_parse(argv)
-        assert main_output(None)[0] == 0
+        code = main()
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == root_parse(capsys, *argv)
+        assert code == 0
 
 
 def render_rows(fmt, schema, header, rows):
