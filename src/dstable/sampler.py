@@ -146,7 +146,7 @@ def _round_normal(mean_num: int, var_num: int, den: int, z: float) -> int:
     keeps it exact past the float range. Past _ROOT_EXACT_BITS the square
     root comes from the top 128 or more bits of var_num, within a relative
     2^-63 of the exact one: the exact root costs time superlinear in the bits
-    (0.38 s at 1e6 bits).
+    (0.08 s at 5e5 bits, 0.33 s at 1e6).
     """
     zn, zd = z.as_integer_ratio()
     shift = 0
