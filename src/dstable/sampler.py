@@ -26,6 +26,7 @@ variate past 2^62 - 1 hold exact Python ints in an object array.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import warnings
@@ -64,8 +65,12 @@ _JUMP_BATCH = 1 << 20
 # the batch sampler (~18 MB, 0.05 s), and so does a scalar draw.
 _JUMP_BUDGET = _JUMP_BATCH
 # a scalar draw with more jumps than this draws them as one array: a jump by
-# _CoreTable.draw costs ~4 us, one draw_array call ~15 us whatever its length
-_SCALAR_JUMPS_MAX = 4
+# _CoreTable.draw costs ~1 us with its uniform, one draw_array call ~7-8 us
+# up to a few dozen jumps
+_SCALAR_JUMPS_MAX = 8
+# _draws takes a law without table lookups whose two rates are both nonzero
+# in one numpy call from this many variates on (see _jump_free_draws)
+_PAIRED_DRAWS_MIN = 12
 # the longest core jump, in bits, that the closed-form tail builds (2 MB)
 _TAIL_BITS_MAX = 1 << 24
 
@@ -196,26 +201,35 @@ def _poisson_array(rate: float, size: int, rng: RngStream) -> np.ndarray:
 
 
 class _CoreTable:
-    """-S(1..N) of the Sibuya core at one alpha, negated to ascend; grown lazily."""
+    """-S(1..N) of the Sibuya core at one alpha, negated to ascend; grown lazily.
 
-    __slots__ = ("alpha", "neg_survival")
+    A scalar jump bisects a memoryview of the table (no copy): numpy's
+    searchsorted costs ~1 us of call overhead for one value, bisect_right on
+    the view ~0.4 us, and both give the same index.
+    """
+
+    __slots__ = ("alpha", "neg_survival", "_view", "_last")
 
     def __init__(self, alpha: float):
         self.alpha = alpha
-        self.neg_survival = _neg_survival(alpha, _TABLE_INIT)
+        self._set(_neg_survival(alpha, _TABLE_INIT))
+
+    def _set(self, neg_survival: np.ndarray) -> None:
+        self.neg_survival = neg_survival
+        self._view = memoryview(neg_survival)
+        self._last = float(neg_survival[-1])
 
     def _grow_to(self, neg_t: float) -> None:
-        while self.neg_survival[-1] <= neg_t and self.neg_survival.size < _TABLE_CAP:
-            size = min(2 * self.neg_survival.size, _TABLE_CAP)
-            self.neg_survival = _neg_survival(self.alpha, size)
+        while self._last <= neg_t and self.neg_survival.size < _TABLE_CAP:
+            self._set(_neg_survival(self.alpha, min(2 * self.neg_survival.size, _TABLE_CAP)))
 
     def draw(self, t: float) -> int:
         """The smallest n with S(n) < t, for t = 1 - u in (0, 1]."""
-        if self.neg_survival[-1] <= -t:
+        if self._last <= -t:
             self._grow_to(-t)
-        if self.neg_survival[-1] > -t:
-            return int(np.searchsorted(self.neg_survival, -t, side="right")) + 1
-        return self._tail_quantile(t)
+            if self._last <= -t:
+                return self._tail_quantile(t)
+        return bisect.bisect_right(self._view, -t) + 1
 
     def draw_array(self, u: np.ndarray) -> np.ndarray:
         """Jumps for an array of uniforms, each as :meth:`draw` gives it at 1 - u.
@@ -227,7 +241,7 @@ class _CoreTable:
         if neg_t.size:
             self._grow_to(float(neg_t.max()))
         jumps = np.searchsorted(self.neg_survival, neg_t, side="right") + 1
-        beyond = np.flatnonzero(neg_t >= self.neg_survival[-1])
+        beyond = np.flatnonzero(neg_t >= self._last)
         if beyond.size:
             tail = [self._tail_quantile(-float(neg_t[i])) for i in beyond]
             if sum(tail) > _INT64_SAFE_MAX - _TABLE_CAP * neg_t.size:
@@ -311,9 +325,13 @@ def _draws(p: DSParams, rng: RngStream, n: int) -> list[int]:
     """
     rate, core_rate = _split_rates(p.alpha, p.gamma, p.delta)
     gen = rng._gen
+    jump_free = core_rate == 0.0 or p.alpha == 2.0
+    least = _PAIRED_DRAWS_MIN if rate != 0.0 and core_rate != 0.0 else 2
+    if jump_free and n >= least and max(rate, core_rate) < _POISSON_EXACT_MAX:
+        return _jump_free_draws(rate, core_rate, gen, n)
     part, jump_count = _poisson_draw(rate, gen), _poisson_draw(core_rate, gen)
     values = []
-    if p.alpha == 2.0:  # every core jump is 2
+    if jump_free:  # every core jump is 2, or there are none
         for _ in range(n):
             total = part()
             values.append(total + 2 * jump_count())
@@ -333,6 +351,24 @@ def _draws(p: DSParams, rng: RngStream, n: int) -> list[int]:
                 total += draw(1.0 - random())
         values.append(total)
     return values
+
+
+def _jump_free_draws(rate: float, core_rate: float, gen: Generator, n: int) -> list[int]:
+    """n variates Poisson(rate) + 2 Poisson(core_rate), each pair drawn in that order.
+
+    For a law without table lookups: a Poisson law (core rate 0) or a Hermite
+    one (every core jump is 2), both rates below 2^33. numpy draws nothing at
+    rate 0, so one call over the interleaved rates uses gen as the scalar loop
+    does. With one rate 0 it is a call at one rate, which costs ~1.5 us where
+    an array of rates costs ~13 us: below _PAIRED_DRAWS_MIN variates the loop
+    is cheaper then.
+    """
+    if rate == 0.0:
+        return (2 * gen.poisson(core_rate, n)).tolist()
+    if core_rate == 0.0:
+        return gen.poisson(rate, n).tolist()
+    pairs = gen.poisson((rate, core_rate), (n, 2))
+    return (pairs[:, 0] + 2 * pairs[:, 1]).tolist()
 
 
 def _sample_ds_array(p: DSParams, rng: RngStream, size: int) -> np.ndarray:

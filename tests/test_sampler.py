@@ -27,14 +27,17 @@ from dstable import (
     translate_params,
 )
 from dstable.errors import DomainError, TailBoundUnreachable
-from dstable.pmf import bsib_pmf_array
+from dstable import sampler
+from dstable.pmf import _TABLE_CAP, bsib_pmf_array
 from dstable.sampler import (
     _JUMP_BATCH,
     _JUMP_BUDGET,
+    _PAIRED_DRAWS_MIN,
     _POISSON_EXACT_MAX,
     _ROOT_EXACT_BITS,
     _SCALAR_JUMPS_MAX,
     _TABLE_CACHE_SIZE,
+    _TABLE_INIT,
     _CoreTable,
     _core_table,
     _draws,
@@ -393,6 +396,78 @@ class TestDrawLoop:
         rng = RngStream(48)
         assert _draws(DSParams(1.3, 1.0, 2.0), rng, 0) == []
         assert rng.random() == RngStream(48).random()
+
+    @pytest.mark.parametrize(
+        "raw",
+        [(1.0, 0.0, 3.0), (1.0, 0.0, 0.0), (2.0, 1.0, 2.0), (2.0, 1.0, 3.0), (2.0, 1.0, 1e10)],
+        ids=str,
+    )
+    @pytest.mark.parametrize("n", [1, 2, _PAIRED_DRAWS_MIN - 1, _PAIRED_DRAWS_MIN, 100])
+    def test_jump_free_laws_equal_the_loop(self, raw, n):
+        # Poisson(3) and the point mass at 0 (core rate 0), Hermite laws at
+        # Poisson rate 0 and at both rates, and a Poisson rate past 2^33: a
+        # replay of part then count per variate on numpy's Generator
+        p = DSParams(*raw)
+        rate, core_rate = _split_rates(p.alpha, p.gamma, p.delta)
+        rng, ref, scalar = RngStream(49), RngStream(49), RngStream(49)
+        got = _draws(p, rng, n)
+        assert all(type(v) is int for v in got)
+        assert got == [sample_ds(p, scalar) for _ in range(n)]
+        after = rng.random()  # the same draws, no more
+        assert after == scalar.random()
+        if rate < _POISSON_EXACT_MAX:
+            gen = ref._gen
+            draw = [lambda r=r: int(gen.poisson(r)) if r else 0 for r in (rate, core_rate)]
+            assert got == [draw[0]() + 2 * draw[1]() for _ in range(n)]
+            assert after == ref.random()
+
+    def test_jump_free_laws_take_one_call(self, monkeypatch):
+        calls = []
+        jump_free_draws = sampler._jump_free_draws
+
+        def spy(rate, core_rate, gen, n):
+            calls.append(n)
+            return jump_free_draws(rate, core_rate, gen, n)
+
+        monkeypatch.setattr(sampler, "_jump_free_draws", spy)
+        for raw in [(1.0, 0.0, 3.0), (2.0, 1.0, 2.0)]:  # one nonzero rate
+            _draws(DSParams(*raw), RngStream(50), 1)
+            _draws(DSParams(*raw), RngStream(50), 2)
+        _draws(DSParams(2.0, 1.0, 3.0), RngStream(50), _PAIRED_DRAWS_MIN - 1)
+        _draws(DSParams(2.0, 1.0, 3.0), RngStream(50), _PAIRED_DRAWS_MIN)
+        _draws(DSParams(2.0, 1.0, 1e10), RngStream(50), 100)  # normal limit: the loop
+        assert calls == [2, 2, _PAIRED_DRAWS_MIN]
+
+
+class TestCoreTableDraw:
+    """_CoreTable.draw against searchsorted on the capped table, and the tail past it."""
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0, 1.3, 1.5, 1.999])
+    def test_equals_searchsorted(self, alpha):
+        full = _CoreTable(alpha)
+        full._grow_to(-0.0)
+        ref = full.neg_survival
+        assert ref.size == _TABLE_CAP
+        rng = np.random.default_rng(51)
+        # 2e4 values of t: uniforms inside the capped table, every 61st table
+        # entry exactly, and 300 past the cap; largest first, so a fresh table
+        # grows through every size from 64 to the cap
+        inside = -ref[-1] + (1.0 - -ref[-1]) * (1.0 - rng.random(2 * 10**4 - 300 - ref.size // 61))
+        entries = -ref[:: 61]
+        past = -ref[-1] * (1.0 - rng.random(300))
+        ts = np.sort(np.concatenate((inside, entries, past)))[::-1].tolist()
+        table = _CoreTable(alpha)
+        sizes = set()
+        got = []
+        for t in ts:
+            got.append(table.draw(t))
+            sizes.add(table.neg_survival.size)
+        assert sizes == {_TABLE_INIT << k for k in range(11)}
+        within = [t for t in ts if -t < ref[-1]]
+        want = (np.searchsorted(ref, -np.array(within), side="right") + 1).tolist()
+        want += [full._tail_quantile(t) for t in ts[len(within) :]]
+        assert got == want
+        assert len(ts) - len(within) >= 300
 
 
 # the first 20 draws of sample_bsib, recorded before the DS sampler split off
