@@ -99,7 +99,8 @@ _BINOMIAL_EXACT_MAX = 10**17
 # here on the normal limit, O(rate^-1/2), is the smaller error.
 _POISSON_EXACT_MAX = float(1 << 33)
 # _round_normal takes the exact integer square root of a variance up to this
-# many bits, and above it the root of its leading bits
+# many bits, and above it the root of its leading bits; a tail jump past 2^4096
+# is bisected on its leading bits too
 _ROOT_EXACT_BITS = 4096
 
 
@@ -262,7 +263,10 @@ class _CoreTable:
         if log2_n0 > _TAIL_BITS_MAX:
             raise DomainError(f"a Sibuya jump at alpha = {alpha} passes 2^{_TAIL_BITS_MAX}")
         e = math.floor(log2_n0)
-        n0 = (int(2.0 ** (log2_n0 - e) * 2.0**52) << e) >> 52
+        m = int(2.0 ** (log2_n0 - e) * 2.0**52)  # n0 = (m << e) >> 52
+        if e >= _ROOT_EXACT_BITS:
+            return _huge_tail_quantile(alpha, m, e, log_t)
+        n0 = (m << e) >> 52
         # bisect on S(lo) > t >= S(hi) to the relative width double precision resolves
         lo, hi = n0 >> 1, 2 * n0 + 2
         while hi - lo > max(1, hi >> 45):
@@ -272,6 +276,32 @@ class _CoreTable:
             else:
                 hi = mid
         return hi
+
+
+def _huge_tail_quantile(alpha: float, m: int, e: int, log_t: float) -> int:
+    """The tail bisection of _CoreTable._tail_quantile for n0 = m 2^(e-52) past 2^4096.
+
+    Bisecting the full-width integers costs time linear in their bits at each
+    step (~30 ms a jump at alpha = 1e-6, whose answers have ~4.8e6 bits), but
+    only the top ~46 bits of the bracket move. So the bracket is kept as
+    64-bit mantissas at the fixed shift e - 63, to the same relative width
+    2^-45, and shifted once. Each step compares the very log S(mid << shift)
+    of the full-width loop: math.log of an int past the float range is
+    log(x) + log(2) e' for its frexp (x, e'), and 1/n underflows in the
+    series, so log S = -lgamma(2 - a) - a log n. The answer lies within the
+    loops' common stop width, relative 2^-45, of the full-width loop's.
+    """
+    shift = e - 63
+    const, log2 = -math.lgamma(2.0 - alpha), math.log(2.0)
+    lo, hi = m << 10, (m << 12) + 1  # n0 / 2 and 2 n0 + 2, rounded outward
+    while hi - lo > max(1, hi >> 45):
+        mid = (lo + hi) // 2
+        x, bits = math.frexp(mid)  # mid has <= 66 bits: float(mid) rounds as frexp of mid << shift
+        if const - alpha * (math.log(x) + log2 * (bits + shift)) > log_t:
+            lo = mid
+        else:
+            hi = mid
+    return hi << shift
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)

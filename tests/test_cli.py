@@ -816,8 +816,9 @@ class TestExitContractProperty:
 
     # Each example draws and thins 2000 variates: few examples, a core rate
     # (which sets a draw's cost) below 1e2, and alpha from 1e-3. Below that,
-    # draws are integers of 4.8/alpha bits, and each tail jump's bisection
-    # runs on integers that long: ~30 ms a jump at alpha = 1e-6.
+    # draws are integers of 4.8/alpha bits: a tail jump bisects only their top
+    # bits (~0.1 ms at alpha = 1e-6), but summing and thinning up to 2e5 of
+    # them still takes time linear in their length.
     @settings(CONTRACT, max_examples=20)
     @given(law_flags(st.one_of(st.sampled_from([1e-3, 1.0, 2.0]), NEAR_ONE,
                                st.floats(min_value=1e-3, max_value=2.0)),

@@ -28,7 +28,7 @@ from dstable import (
 )
 from dstable.errors import DomainError, TailBoundUnreachable
 from dstable import sampler
-from dstable.pmf import _TABLE_CAP, bsib_pmf_array
+from dstable.pmf import _TABLE_CAP, _log_survival, bsib_pmf_array
 from dstable.sampler import (
     _JUMP_BATCH,
     _JUMP_BUDGET,
@@ -289,6 +289,59 @@ class TestBsibTail:
         # 2^-53 at alpha = 1e-9 would need an integer of ~5e10 bits
         with pytest.raises(DomainError, match="alpha"):
             _CoreTable(1e-9)._tail_quantile(2.0**-53)
+
+    @pytest.mark.parametrize("alpha, scale, count", [(0.005, 2.0**-25, 100), (1e-6, 0.5, 3)])
+    def test_huge_answers_within_the_full_width_stop(self, alpha, scale, count):
+        # answers of ~5e3 and ~1e6 bits, past 2^4096: bisected on their top bits
+        table = _CoreTable(alpha)
+        for t in (scale * (1.0 - np.random.default_rng(52).random(count))).tolist():
+            want = _full_width_tail_quantile(alpha, t)
+            assert want.bit_length() > _ROOT_EXACT_BITS
+            assert abs(table._tail_quantile(t) - want) <= want >> 45
+
+    def test_huge_log_survival_is_the_full_width_one(self):
+        # the top-bit bisection's log S(m << shift), as _log_survival gives it
+        rng = np.random.default_rng(53)
+        for alpha in (1e-6, 0.003, 0.5):
+            for _ in range(50):
+                m = int(rng.integers(1 << 62)) << 3 | int(rng.integers(8))
+                shift = int(rng.integers(_ROOT_EXACT_BITS, 5 * 10**6))
+                x, bits = math.frexp(m)
+                log_n = math.log(x) + math.log(2.0) * (bits + shift)
+                got = -math.lgamma(2.0 - alpha) - alpha * log_n
+                assert got == _log_survival(alpha, m << shift)
+
+    def test_huge_answers_fast(self):
+        # ~5e6 bits at t = 2^-5: ~30 ms a jump on full-width integers
+        table = _CoreTable(1e-6)
+        best = min(_elapsed(table._tail_quantile, 2.0**-5) for _ in range(5))
+        assert best < 1e-3
+        start = time.perf_counter()
+        values = sample_ds(DSParams(1e-6, -1.0, 0.0), RngStream(1), size=20)
+        assert time.perf_counter() - start < 0.1
+        assert values.dtype == object and max(values) > 2**_ROOT_EXACT_BITS
+
+
+def _elapsed(f, *args) -> float:
+    start = time.perf_counter()
+    f(*args)
+    return time.perf_counter() - start
+
+
+def _full_width_tail_quantile(alpha: float, t: float) -> int:
+    """_CoreTable._tail_quantile's bisection on full-width integers, at any size."""
+    log_t = math.log(t)
+    log2_n0 = max((-math.lgamma(2.0 - alpha) - log_t) / (alpha * math.log(2.0)), 0.0)
+    e = math.floor(log2_n0)
+    n0 = (int(2.0 ** (log2_n0 - e) * 2.0**52) << e) >> 52
+    lo, hi = n0 >> 1, 2 * n0 + 2
+    while hi - lo > max(1, hi >> 45):
+        mid = (lo + hi) // 2
+        if _log_survival(alpha, mid) > log_t:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 # the first 20 scalar draws of Poisson(delta - alpha gamma) plus the core law,
