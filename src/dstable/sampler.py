@@ -73,6 +73,15 @@ _SCALAR_JUMPS_MAX = 8
 _PAIRED_DRAWS_MIN = 12
 # the longest core jump, in bits, that the closed-form tail builds (2 MB)
 _TAIL_BITS_MAX = 1 << 24
+# draw_array finds most tail jumps in numpy (see _CoreTable._tail_quantiles).
+# log S(n) = c - a log n + O(1/n) and log t, as numpy and math evaluate them,
+# lie within ~13 ulps of |c| + a log n + |log t| of their exact values (logs
+# within 4 ulps); each side of a jump must clear log t by _TAIL_MARGIN times
+# that sum, 64 ulps of it. The steps a/n of log S pass below twice that margin
+# before n = 2^41, so no answer of 2^45 or more, where the scalar bisection
+# stops at a relative width instead of 1, passes the check.
+_TAIL_MARGIN = 2.0**-46
+_TAIL_FAST_LOG = 32.0  # log n clipped here, past log(2^45), for a finite exp
 
 # goodness-of-fit bins stop where fewer than this many samples are expected
 _MIN_EXPECTED = 5.0
@@ -244,11 +253,49 @@ class _CoreTable:
         jumps = np.searchsorted(self.neg_survival, neg_t, side="right") + 1
         beyond = np.flatnonzero(neg_t >= self._last)
         if beyond.size:
-            tail = [self._tail_quantile(-float(neg_t[i])) for i in beyond]
+            tail = self._tail_quantiles(np.negative(neg_t[beyond]))
             if sum(tail) > _INT64_SAFE_MAX - _TABLE_CAP * neg_t.size:
                 jumps = jumps.astype(object)
             jumps[beyond] = tail
         return jumps
+
+    def _tail_quantiles(self, t: np.ndarray) -> list[int]:
+        """[self._tail_quantile(x) for x in t], most of them found in numpy.
+
+        The asymptotic inverse and one Newton step on log S's series give a
+        candidate n, kept where log S(n - 1) > log t >= log S(n) holds with
+        both sides clear of log t by a margin (see _TAIL_MARGIN). The series
+        is strictly decreasing from 2^10 on (tail answers pass the cap, 2^16),
+        and its values in numpy and in _log_survival lie within a few ulps of
+        its exact value, so every comparison of the scalar bisection then
+        falls the same way, and it ends at n (its bracket holds n: n / n0 =
+        1 + O(1/n)). Other answers, among them all those of 2^41 or more, are
+        the scalar ones.
+        """
+        alpha = self.alpha
+        if alpha == 1.0:
+            return np.ceil(1.0 / t).astype(np.int64).tolist()  # t >= 2^-53
+        log_t = np.log(t)
+        const, b = -math.lgamma(2.0 - alpha), alpha * (alpha - 1.0)
+        c1, c2 = (alpha - 0.5) / 6.0, b / 12.0
+
+        def log_survival(n: np.ndarray) -> np.ndarray:
+            x = 1.0 / n
+            return const - alpha * np.log(n) + b * x * (0.5 + x * (c1 + x * c2))
+
+        # log n0 solves const - a log n = log t; Newton's step adds the series' rest
+        y = (const - log_t) / alpha
+        x = np.exp(-y)
+        y += b * x * (0.5 + x * (c1 + x * c2)) / (alpha + 0.5 * b * x)
+        y = np.minimum(y, _TAIL_FAST_LOG)
+        n = np.ceil(np.exp(y))
+        margin = _TAIL_MARGIN * (abs(const) + alpha * y - log_t)
+        fast = log_survival(n) <= log_t - margin
+        fast &= log_survival(n - 1.0) > log_t + margin
+        tail = n.astype(np.int64).tolist()
+        for i in np.flatnonzero(~fast).tolist():
+            tail[i] = self._tail_quantile(float(t[i]))
+        return tail
 
     def _tail_quantile(self, t: float) -> int:
         # smallest n with S(n) <= t, from the closed-form survival:

@@ -522,6 +522,48 @@ class TestCoreTableDraw:
         assert got == want
         assert len(ts) - len(within) >= 300
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.8, 1.0, 1.3, 1.7, 1.999])
+    def test_array_tail_equals_scalar(self, alpha):
+        table = _CoreTable(alpha)
+        table._grow_to(-0.0)
+        s_cap = -table._last
+        rng = np.random.default_rng(54)
+        # 5000 uniforms over the tail (0, S(cap)], and t on and beside S(n)
+        # for 300 n from the cap to 2^45, where the candidate is least clear
+        on = np.exp(
+            [_log_survival(alpha, int(k)) for k in np.exp(rng.uniform(11.1, 31.2, 300))]
+        )
+        ts = np.concatenate(
+            (s_cap * (1.0 - rng.random(5000)), on, np.nextafter(on, 0.0), np.nextafter(on, 1.0))
+        )
+        ts = ts[ts <= s_cap]
+        assert ts.size > 5000
+        assert table._tail_quantiles(ts) == [table._tail_quantile(t) for t in ts.tolist()]
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_array_tail_mostly_in_numpy(self, alpha, monkeypatch):
+        table = _CoreTable(alpha)
+        table._grow_to(-0.0)
+        calls = []
+        monkeypatch.setattr(_CoreTable, "_tail_quantile", lambda table, t: calls.append(t) or 0)
+        table._tail_quantiles(-table._last * (1.0 - np.random.default_rng(56).random(5000)))
+        assert len(calls) <= 10
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    def test_draw_array_equals_draw(self, alpha):
+        # ~800 of the uniforms at alpha 0.3 and ~90 at 0.5 fall past the cap
+        u = np.random.default_rng(55).random(2 * 10**4)
+        table = _CoreTable(alpha)
+        want = [table.draw(1.0 - x) for x in u.tolist()]
+        assert table.draw_array(u).tolist() == want
+        assert max(want) > _TABLE_CAP
+
+    def test_array_tail_refusals_kept(self):
+        # the scalar tail's refusal past 2^(2^24), among answers it finds in numpy
+        u = 1.0 - np.array([2.0**-20, 2.0**-53, 2.0**-30])
+        with pytest.raises(DomainError, match="alpha = 1e-09"):
+            _CoreTable(1e-9).draw_array(u)
+
 
 # the first 20 draws of sample_bsib, recorded before the DS sampler split off
 # its Poisson part: the split must leave the bSib stream as it was
