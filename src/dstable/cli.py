@@ -92,8 +92,9 @@ def _emit_table(fmt: str, schema: str, header: list[str], columns: list) -> None
         values = []
         template = '{"schema": ' + json.dumps(schema)
         for name, spec, column in zip(header, specs, columns):
-            if isinstance(column[0], str):
-                column = list(map(json.dumps, column))
+            if isinstance(column[0], str):  # few distinct labels: dump each once
+                dumped = {label: json.dumps(label) for label in dict.fromkeys(column)}
+                column = list(map(dumped.__getitem__, column))
             values += column
             template += f", {json.dumps(name)}: [{', '.join([spec] * rows)}]"
         template += "}\n"
