@@ -13,7 +13,10 @@ every core jump is 2: a Hermite draw is two Poisson draws.
 A core jump at t = 1 - u is the smallest n with S(n) < t for the survival
 S(n) = prod_{k=2..n} (1 - alpha/k), from a lazily doubled table; past the
 capped table it inverts S's closed form by bisection around its asymptotic
-inverse. w, S's table and its closed form come from pmf, as the masses do.
+inverse, on the top 64 bits of answers past 2^4096. An array of jumps finds
+most of its tail answers in numpy instead, by the asymptotic inverse and a
+Newton step checked against the bisection's comparisons, with the same
+integers. w, S's table and its closed form come from pmf, as the masses do.
 Poisson and binomial draws are numpy's (transformed rejection / BTPE), except
 that Poisson rates from 2^33 and binomial counts past 1e17 take the normal
 limit, in integer arithmetic.
@@ -21,7 +24,10 @@ limit, in integer arithmetic.
 ``sample_ds(p, rng, size=n)`` draws n variates at once: one Poisson array,
 one array of jump counts, one uniform array looked up in the same table, and
 per-variate totals as differences of a cumulative sum. Arrays with a
-variate past 2^62 - 1 hold exact Python ints in an object array.
+variate past 2^62 - 1 hold exact Python ints in an object array. The n
+scalar variates of ``_draws`` (``dstable sample``) of a law without table
+lookups, Poisson or Hermite, take one numpy call with the stream of n
+scalar calls.
 """
 
 from __future__ import annotations
@@ -402,13 +408,16 @@ def _draws(p: DSParams, rng: RngStream, n: int) -> list[int]:
     """
     rate, core_rate = _split_rates(p.alpha, p.gamma, p.delta)
     gen = rng._gen
-    jump_free = core_rate == 0.0 or p.alpha == 2.0
-    least = _PAIRED_DRAWS_MIN if rate != 0.0 and core_rate != 0.0 else 2
-    if jump_free and n >= least and max(rate, core_rate) < _POISSON_EXACT_MAX:
+    if (
+        n > 1
+        and (p.alpha == 2.0 or core_rate == 0.0)
+        and (n >= _PAIRED_DRAWS_MIN or rate == 0.0 or core_rate == 0.0)
+        and max(rate, core_rate) < _POISSON_EXACT_MAX
+    ):
         return _jump_free_draws(rate, core_rate, gen, n)
     part, jump_count = _poisson_draw(rate, gen), _poisson_draw(core_rate, gen)
     values = []
-    if jump_free:  # every core jump is 2, or there are none
+    if p.alpha == 2.0 or core_rate == 0.0:  # every core jump is 2, or there are none
         for _ in range(n):
             total = part()
             values.append(total + 2 * jump_count())
