@@ -445,9 +445,9 @@ def _jump_free_draws(rate: float, core_rate: float, gen: Generator, n: int) -> l
     For a law without table lookups: a Poisson law (core rate 0) or a Hermite
     one (every core jump is 2), both rates below 2^33. numpy draws nothing at
     rate 0, so one call over the interleaved rates uses gen as the scalar loop
-    does. With one rate 0 it is a call at one rate, which costs ~1.5 us where
-    an array of rates costs ~13 us: below _PAIRED_DRAWS_MIN variates the loop
-    is cheaper then.
+    does. A call at one rate costs ~1.5 us, one over an array of rates ~13 us:
+    with both rates nonzero the loop is cheaper below _PAIRED_DRAWS_MIN
+    variates.
     """
     if rate == 0.0:
         return (2 * gen.poisson(core_rate, n)).tolist()
