@@ -93,7 +93,7 @@ def _emit_table(fmt: str, schema: str, header: list[str], columns: list) -> None
         template = '{"schema": ' + json.dumps(schema)
         for name, spec, column in zip(header, specs, columns):
             if isinstance(column[0], str):  # few distinct labels: dump each once
-                dumped = {label: json.dumps(label) for label in dict.fromkeys(column)}
+                dumped = {label: json.dumps(label) for label in set(column)}
                 column = list(map(dumped.__getitem__, column))
             values += column
             template += f", {json.dumps(name)}: [{', '.join([spec] * rows)}]"

@@ -19,6 +19,7 @@ from dstable import (
     sample_bsib,
     sample_ds,
     sample_poisson,
+    sampler,
     stability_experiment,
     stability_mu,
     thin,
@@ -27,7 +28,6 @@ from dstable import (
     translate_params,
 )
 from dstable.errors import DomainError, TailBoundUnreachable
-from dstable import sampler
 from dstable.pmf import _TABLE_CAP, _log_survival, bsib_pmf_array
 from dstable.sampler import (
     _JUMP_BATCH,
@@ -505,9 +505,10 @@ class TestCoreTableDraw:
         # 2e4 values of t: uniforms inside the capped table, every 61st table
         # entry exactly, and 300 past the cap; largest first, so a fresh table
         # grows through every size from 64 to the cap
-        inside = -ref[-1] + (1.0 - -ref[-1]) * (1.0 - rng.random(2 * 10**4 - 300 - ref.size // 61))
-        entries = -ref[:: 61]
-        past = -ref[-1] * (1.0 - rng.random(300))
+        s_cap = -ref[-1]
+        inside = s_cap + (1.0 - s_cap) * (1.0 - rng.random(2 * 10**4 - 300 - ref.size // 61))
+        entries = -ref[::61]
+        past = s_cap * (1.0 - rng.random(300))
         ts = np.sort(np.concatenate((inside, entries, past)))[::-1].tolist()
         table = _CoreTable(alpha)
         sizes = set()
@@ -545,7 +546,7 @@ class TestCoreTableDraw:
         table = _CoreTable(alpha)
         table._grow_to(-0.0)
         calls = []
-        monkeypatch.setattr(_CoreTable, "_tail_quantile", lambda table, t: calls.append(t) or 0)
+        monkeypatch.setattr(_CoreTable, "_tail_quantile", lambda self, t: calls.append(t) or 0)
         table._tail_quantiles(-table._last * (1.0 - np.random.default_rng(56).random(5000)))
         assert len(calls) <= 10
 
@@ -559,7 +560,7 @@ class TestCoreTableDraw:
         assert max(want) > _TABLE_CAP
 
     def test_array_tail_refusals_kept(self):
-        # the scalar tail's refusal past 2^(2^24), among answers it finds in numpy
+        # the scalar tail refuses answers past 2^(2^24); so does draw_array
         u = 1.0 - np.array([2.0**-20, 2.0**-53, 2.0**-30])
         with pytest.raises(DomainError, match="alpha = 1e-09"):
             _CoreTable(1e-9).draw_array(u)
