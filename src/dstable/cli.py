@@ -13,7 +13,6 @@ import functools
 import json
 import math
 import sys
-import warnings
 
 from .errors import DstableError
 from .genfun import stability_residual
@@ -28,7 +27,7 @@ from .params import (
     ds_to_es,
     es_to_ds,
 )
-from .pmf import ds_pmf, moments
+from .pmf import _ds_pmf, moments
 from .sampler import RngStream, _draws, stability_experiment
 
 __all__ = ["main"]
@@ -130,9 +129,7 @@ def _ds_from_args(args) -> DSParams:
 
 def _cmd_pmf(args, with_pmf_column: bool = True) -> int:
     p = _ds_from_args(args)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        table = ds_pmf(p, n_max=args.nmax, tail_bound=args.tail_bound)
+    table = _ds_pmf(p, args.nmax, args.tail_bound)  # an incomplete table exits 3 below
     n = range(len(table))
     cum = table.cdf_values.tolist()
     if with_pmf_column:
@@ -264,9 +261,7 @@ def _cmd_plot_data(args) -> int:
     labels, ns, masses = [], [], []
     for label, alpha, gamma, delta in _PLOT_SET:
         p = DSParams(alpha, gamma, delta)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # plot window truncation is intended
-            table = ds_pmf(p, n_max=args.nmax, tail_bound=args.tail_bound)
+        table = _ds_pmf(p, args.nmax, args.tail_bound)  # the window truncates by design
         labels += [label] * len(table)
         ns += range(len(table))
         masses += table.masses.tolist()

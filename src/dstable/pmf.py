@@ -490,6 +490,25 @@ def ds_pmf(
     returned with its honest tail mass. A mass's digits depend on the law
     and its index only, not on n_max or tail_bound.
     """
+    table = _ds_pmf(p, n_max, tail_bound)
+    if not table.tail_bound_met:
+        warnings.warn(
+            TailBoundUnreachable(
+                f"{table.params_tag}: tail mass {table.tail_mass:.3e} > bound "
+                f"{table.tail_bound:.3e} at n_max = {int(n_max)}"
+            ),
+            stacklevel=2,
+        )
+    return table
+
+
+def _ds_pmf(p: DSParams, n_max: int, tail_bound: float) -> PmfTable:
+    """ds_pmf's table, without its warning: tail_bound_met tells the same.
+
+    For callers whose tables miss the bound by design (truncated windows,
+    heavy tails): they skip formatting a warning, and swapping the process-wide
+    warning filters, which is not thread-safe.
+    """
     n_max = int(n_max)
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
@@ -507,16 +526,7 @@ def ds_pmf(
         masses = np.zeros(n_max + 1 if target > 0.0 else 1)
     else:
         masses = _recursion(c, n_max, target, p.alpha < 2.0 and p.gamma != 0.0)
-    table = PmfTable(masses, tag, tail_bound)
-    if not table.tail_bound_met:
-        warnings.warn(
-            TailBoundUnreachable(
-                f"{tag}: tail mass {table.tail_mass:.3e} > bound {tail_bound:.3e} "
-                f"at n_max = {n_max}"
-            ),
-            stacklevel=2,
-        )
-    return table
+    return PmfTable(masses, tag, tail_bound)
 
 
 def _recursion(c: CompoundRep, n_max: int, target: float, blocks: bool) -> np.ndarray:

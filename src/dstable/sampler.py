@@ -35,7 +35,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,7 @@ from numpy.random import PCG64, Generator, SeedSequence
 from .errors import DomainError
 from .genfun import stability_mu, translate_params
 from .params import BSibParams, DSParams, classify
-from .pmf import _TABLE_CAP, PmfTable, _core_weight, _log_survival, _neg_survival, ds_pmf
+from .pmf import _SERIES_FROM, _TABLE_CAP, PmfTable, _core_weight, _ds_pmf, _neg_survival
 
 __all__ = [
     "RngStream",
@@ -254,11 +253,12 @@ class _CoreTable:
         enough that a sum of the jumps could pass 2^62 - 1; then object ints.
         """
         neg_t = np.subtract(u, 1.0, out=u)  # -t, exact on numpy's 2^-53 grid
-        if neg_t.size:
-            self._grow_to(float(neg_t.max()))
-        jumps = np.searchsorted(self.neg_survival, neg_t, side="right") + 1
-        beyond = np.flatnonzero(neg_t >= self._last)
-        if beyond.size:
+        top = float(neg_t.max()) if neg_t.size else -1.0  # -1: no t, nothing to grow
+        self._grow_to(top)
+        jumps = np.searchsorted(self.neg_survival, neg_t, side="right")
+        jumps += 1
+        if top >= self._last:  # some t lies past the table
+            beyond = np.flatnonzero(neg_t >= self._last)
             tail = self._tail_quantiles(np.negative(neg_t[beyond]))
             if sum(tail) > _INT64_SAFE_MAX - _TABLE_CAP * neg_t.size:
                 jumps = jumps.astype(object)
@@ -310,9 +310,10 @@ class _CoreTable:
         if alpha == 1.0:
             return math.ceil(1.0 / t)
         log_t = math.log(t)
+        const = -math.lgamma(2.0 - alpha)
         # the answer lies in [n0/2, 2 n0 + 2] (Gautschi's inequality) for the asymptotic
         # inverse n0 = (Gamma(2-a) t)^(-1/a), at least 1, built exactly from mantissa and exponent
-        log2_n0 = max((-math.lgamma(2.0 - alpha) - log_t) / (alpha * math.log(2.0)), 0.0)
+        log2_n0 = max((const - log_t) / (alpha * math.log(2.0)), 0.0)
         if log2_n0 > _TAIL_BITS_MAX:
             raise DomainError(f"a Sibuya jump at alpha = {alpha} passes 2^{_TAIL_BITS_MAX}")
         e = math.floor(log2_n0)
@@ -320,11 +321,21 @@ class _CoreTable:
         if e >= _ROOT_EXACT_BITS:
             return _huge_tail_quantile(alpha, m, e, log_t)
         n0 = (m << e) >> 52
-        # bisect on S(lo) > t >= S(hi) to the relative width double precision resolves
+        # bisect on S(lo) > t >= S(hi) to the relative width double precision resolves;
+        # each step compares _log_survival(alpha, mid), inlined with its constants
+        # hoisted, in the same floating-point operations
+        b, c1 = alpha * (alpha - 1.0), (alpha - 0.5) / 6.0
+        lgamma, log, exp = math.lgamma, math.log, math.exp
         lo, hi = n0 >> 1, 2 * n0 + 2
         while hi - lo > max(1, hi >> 45):
             mid = (lo + hi) // 2
-            if _log_survival(alpha, mid) > log_t:
+            if mid < _SERIES_FROM:
+                log_s = const + lgamma(mid + 1.0 - alpha) - lgamma(mid + 1.0)
+            else:
+                log_n = log(mid)
+                x = exp(-log_n)  # 1/n
+                log_s = const - alpha * log_n + b * x * (0.5 + x * (c1 + x * b / 12.0))
+            if log_s > log_t:
                 lo = mid
             else:
                 hi = mid
@@ -466,10 +477,12 @@ def _sample_ds_array(p: DSParams, rng: RngStream, size: int) -> np.ndarray:
     counts = _poisson_array(core_rate, size, rng)
     if p.alpha == 2.0:  # every core jump is 2
         total = total + 2 * counts
-    elif counts.any():
-        if counts.max() > _JUMP_BUDGET:
+    elif counts.size:
+        most = counts.max()
+        if most > _JUMP_BUDGET:
             raise _jump_budget_error(core_rate)
-        total = total + _jump_sums(counts, _core_table(p.alpha), rng._gen)
+        if most:
+            total = total + _jump_sums(counts, _core_table(p.alpha), rng._gen)
     # each part stays below 2^62 in int64, so their sum cannot wrap
     if total.size and total.max() > _INT64_SAFE_MAX:
         return total.astype(object)
@@ -484,20 +497,30 @@ def _jump_budget_error(core_rate: float) -> DomainError:
 
 
 def _jump_sums(counts: np.ndarray, table: _CoreTable, gen: Generator) -> np.ndarray:
-    """Per-variate sums of counts[i] jumps each, drawn in passes of whole variates."""
+    """Per-variate sums of counts[i] jumps each, drawn in passes of whole variates.
+
+    Jumps that fit one pass of _JUMP_BATCH uniforms (read at call time) are
+    drawn in one, with no pass planning.
+    """
     size = counts.size
     bounds = np.zeros(size + 1, dtype=np.int64)  # variate i owns jumps bounds[i]:bounds[i+1]
     np.cumsum(counts, out=bounds[1:])
     parts = []
     lo = 0
     while lo < size:
-        # the whole variates whose jumps fit one pass, and at least one
-        fit = int(np.searchsorted(bounds, bounds[lo] + _JUMP_BATCH, side="right")) - 1
-        hi = max(lo + 1, fit)
+        if bounds[size] - bounds[lo] <= _JUMP_BATCH:
+            hi = size  # the rest fit one pass
+        else:
+            # the whole variates whose jumps fit one pass, and at least one
+            fit = int(np.searchsorted(bounds, bounds[lo] + _JUMP_BATCH, side="right")) - 1
+            hi = max(lo + 1, fit)
         jumps = table.draw_array(gen.random(int(bounds[hi] - bounds[lo])))
         sums = np.zeros(jumps.size + 1, dtype=jumps.dtype)
         np.cumsum(jumps, out=sums[1:])
-        parts.append(np.diff(sums[bounds[lo : hi + 1] - bounds[lo]]))
+        part = np.diff(sums[bounds[lo : hi + 1] - bounds[lo]])
+        if not parts and hi == size:
+            return part
+        parts.append(part)
         lo = hi
     return np.concatenate(parts)
 
@@ -533,8 +556,12 @@ def thin(x: int | np.ndarray, a: float, rng: RngStream) -> int | np.ndarray:
 def _thin_array(x: np.ndarray, a: float, rng: RngStream) -> np.ndarray:
     if x.dtype != object:
         x = x.astype(np.int64, copy=False)
-    if x.size and x.min() < 0:
+    if not x.size:
+        return x.copy()
+    if x.min() < 0:
         raise DomainError(f"cannot thin a negative count, got {x.min()}")
+    if x.dtype != object and x.max() <= _BINOMIAL_EXACT_MAX:
+        return rng._gen.binomial(x, a)  # every count exact: one call, no masks
     exact = x <= _BINOMIAL_EXACT_MAX
     out = x.copy()
     out[exact] = rng._gen.binomial(x[exact].astype(np.int64), a)
@@ -583,9 +610,12 @@ def pool_counts(
     obs_pooled: list[float] = []
     exp_pooled: list[float] = []
     acc_obs = acc_exp = 0.0
+    # over Python floats: iterating the arrays would box each value as a numpy scalar
+    observed = np.asarray(observed, dtype=np.float64).tolist()
+    expected = np.asarray(expected, dtype=np.float64).tolist()
     for o, e in zip(observed, expected):
-        acc_obs += float(o)
-        acc_exp += float(e)
+        acc_obs += o
+        acc_exp += e
         if acc_exp >= min_expected:
             obs_pooled.append(acc_obs)
             exp_pooled.append(acc_exp)
@@ -629,17 +659,16 @@ def _reference_table(target: DSParams, n_samples: int) -> PmfTable:
     """
     n_max = _REFERENCE_START if classify(target).self_decomposable else _REFERENCE_N_MAX
     below = (1.0 - _UNIMODAL_MARGIN) * _MIN_EXPECTED
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # heavy tails cannot meet 1e-6 coverage
-        while True:
-            table = ds_pmf(target, n_max=n_max, tail_bound=_REFERENCE_TAIL)
-            if table.tail_bound_met or n_max == _REFERENCE_N_MAX:
-                return table
-            m = table.masses
-            past_mode = m < (1.0 - _UNIMODAL_MARGIN) * np.maximum.accumulate(m)
-            if np.any(past_mode & (n_samples * m < below)):
-                return table
-            n_max = min(_REFERENCE_GROWTH * n_max, _REFERENCE_N_MAX)
+    while True:
+        # the core, not ds_pmf: short and heavy-tailed tables miss 1e-6 by design
+        table = _ds_pmf(target, n_max, _REFERENCE_TAIL)
+        if table.tail_bound_met or n_max == _REFERENCE_N_MAX:
+            return table
+        m = table.masses
+        past_mode = m < (1.0 - _UNIMODAL_MARGIN) * np.maximum.accumulate(m)
+        if np.any(past_mode & (n_samples * m < below)):
+            return table
+        n_max = min(_REFERENCE_GROWTH * n_max, _REFERENCE_N_MAX)
 
 
 def tv_against_table(
@@ -652,15 +681,24 @@ def tv_against_table(
     further pooling to expected counts >= 5. Returns (tv, chi2, bins_used,
     dof): bins_used counts the bins before that pooling, dof is the number
     of pooled bins with positive expectation minus 1.
-    values may be int64 or an object array of exact ints of any size. A table
-    none of whose individual bins expects 5 samples raises a DomainError: all
-    samples and all expectation would share the tail bin, and TV would read 0.
+    values may be int64 or an object array of exact ints of any size, n_samples
+    of them, each >= 0; else a DomainError. So does a table none of whose
+    individual bins expects 5 samples: all samples and all expectation would
+    share the tail bin, and TV would read 0.
     """
+    if values.size != n_samples:
+        raise DomainError(
+            f"{values.size} values for n_samples = {n_samples}: the bins need one value per sample"
+        )
     cut = _support_cut(table, n_samples)
     # clip before the cast: draws past int64 land in the tail bin too
-    clipped = np.minimum(values, cut + 1).astype(np.int64)
-    counts = np.bincount(np.maximum(clipped, 0), minlength=cut + 2).astype(np.float64)
-    target = np.append(table.masses[: cut + 1], 1.0 - float(table.cdf_values[cut]))
+    clipped = np.minimum(values, cut + 1)
+    if clipped.min() < 0:
+        raise DomainError(f"values must be counts >= 0, got {clipped.min()}")
+    counts = np.bincount(clipped.astype(np.int64, copy=False), minlength=cut + 2).astype(np.float64)
+    target = np.empty(cut + 2)
+    target[: cut + 1] = table.masses[: cut + 1]
+    target[cut + 1] = 1.0 - float(table.cdf_values[cut])
     empirical = counts / n_samples
     tv = 0.5 * float(np.sum(np.abs(empirical - target)))
     obs, exp = pool_counts(counts, n_samples * target)
