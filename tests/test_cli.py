@@ -483,6 +483,30 @@ class TestPlotDataCommand:
         assert len(payload["n"]) == len(payload["pmf"]) == len(payload["label"])
 
 
+class TestNoWarningFilter:
+    """Truncated tables are read from tail_bound_met: no warning is raised or filtered."""
+
+    @pytest.mark.parametrize("command", ["pmf", "cdf"])
+    def test_heavy_table_exits_three(self, capsys, command):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, command, "--alpha", "0.5", "--gamma=-1", "--delta", "0", "--nmax", "50"
+            )
+        assert code == 3
+        assert len(out.splitlines()) == 52
+        assert err.startswith("warning: tail mass") and err.count("\n") == 1
+
+    def test_plot_data_exits_zero(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "plot-data")
+        assert code == 0
+        assert err == ""
+        # the heavy tail is cut at the window's end, where ds_pmf would warn
+        assert sum(line.startswith("strict_alpha_0.5,") for line in out.splitlines()) == 51
+
+
 class TestExitCodeContract:
     def test_usage_error_is_two(self):
         cmd = [sys.executable, "-m", "dstable", "pmf", "--alpha", "1"]

@@ -685,6 +685,30 @@ class TestTableState:
         assert not table.masses[1:].any()
 
 
+class TestWarningFreeCore:
+    """_ds_pmf, ds_pmf's table without its warning, for callers that read tail_bound_met."""
+
+    @pytest.mark.parametrize("raw", PARAM_GRID + HEAVY_TAILS + FINITE_SUPPORT[:2])
+    def test_same_masses_and_warned_exactly_when_the_bound_is_missed(self, raw):
+        p = DSParams(*raw)
+        for n_max, tail_bound in ((0, 1e-12), (63, 1e-6), (1000, 1e-12), (1000, 0.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                core = pmf_module._ds_pmf(p, n_max, tail_bound)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                table = ds_pmf(p, n_max=n_max, tail_bound=tail_bound)
+            assert core.masses.tobytes() == table.masses.tobytes()
+            assert core.tail_bound_met == table.tail_bound_met
+            if table.tail_bound_met:
+                assert not caught
+            else:
+                [warning] = caught
+                assert warning.category is TailBoundUnreachable
+                assert warning.filename == __file__  # it names the caller of ds_pmf
+                assert str(warning.message).endswith(f"at n_max = {n_max}")
+
+
 # max relative error against the long-double recursion up to n = 4000. The
 # first four bounds are the errors measured while the FFT pushes carried every
 # lag, rounded up to one significant figure (8.6e-11, 1.3e-11, 2.9e-12,

@@ -285,6 +285,19 @@ class TestBsibTail:
             got = np.append(1.0 - w, w * -np.diff(survival))
             assert np.max(np.abs(got - want)) <= 2.0**-52, rho
 
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.3, 1.5])
+    def test_bisection_equals_the_log_survival_loop(self, alpha):
+        # the inlined series against the loop that called _log_survival at
+        # each step (_full_width_tail_quantile, equal to it below 2^4096):
+        # 2000 tail uniforms, whose answers pass the table, and 200 on (0, 1],
+        # some of whose brackets reach below the series' start
+        table = _CoreTable(alpha)
+        s_cap = math.exp(_log_survival(alpha, _TABLE_CAP))
+        rng = np.random.default_rng(54)
+        ts = (s_cap * (1.0 - rng.random(2000))).tolist() + (1.0 - rng.random(200)).tolist()
+        for t in ts:
+            assert table._tail_quantile(t) == _full_width_tail_quantile(alpha, t), t
+
     def test_tiny_alpha_quantile_refused_before_it_is_built(self):
         # 2^-53 at alpha = 1e-9 would need an integer of ~5e10 bits
         with pytest.raises(DomainError, match="alpha"):
@@ -774,7 +787,8 @@ class TestThin:
         # call, in the order the per-count thin would draw them
         exact = [0, 7, 10**17, 3 * 10**9]
         large = [10**17 + 1, 4 * 10**18, 2**62, 2**63 - 1]
-        for x in (np.array(exact + large, dtype=np.int64),
+        for x in (np.array(exact, dtype=np.int64),  # one binomial call, no masks
+                  np.array(exact + large, dtype=np.int64),
                   np.array(exact + large + [10**30, 3**100], dtype=object)):
             got = thin(x, a, RngStream(31))
             ref = RngStream(31)
@@ -974,6 +988,22 @@ class TestTvAgainstTable:
         expected = tv_against_table(clipped, table, 2000)
         assert tv_against_table(exact, table, 2000) == expected
 
+
+    def test_negative_value_refused(self):
+        # it would be counted in bin 0
+        table = ds_pmf(DSParams(1.0, 0.0, 3.0), n_max=100, tail_bound=1e-12)
+        values = np.array([0, 1, 2, 3] * 250, dtype=np.int64)
+        values[7] = -1
+        for bad in (values, np.append(values[1:], -(10**30)).astype(object)):
+            with pytest.raises(DomainError, match="counts >= 0"):
+                tv_against_table(bad, table, 1000)
+
+    @pytest.mark.parametrize("size", [999, 1001])
+    def test_size_other_than_n_samples_refused(self, size):
+        # TV and chi-square would weigh the counts by the wrong total
+        table = ds_pmf(DSParams(1.0, 0.0, 3.0), n_max=100, tail_bound=1e-12)
+        with pytest.raises(DomainError, match="n_samples = 1000"):
+            tv_against_table(np.ones(size, dtype=np.int64), table, 1000)
 
     def test_vacuous_table_refused(self):
         # Poisson(2e4) has no mass to speak of below 101
