@@ -686,6 +686,7 @@ def tv_against_table(
     individual bins expects 5 samples: all samples and all expectation would
     share the tail bin, and TV would read 0.
     """
+    values = np.asarray(values)
     if values.size != n_samples:
         raise DomainError(
             f"{values.size} values for n_samples = {n_samples}: the bins need one value per sample"
