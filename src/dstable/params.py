@@ -66,6 +66,21 @@ def _require_finite(value: float, exc: type[ParameterError], name: str) -> float
     return value
 
 
+def _require_count(value: object, message: str, least: float = 0) -> int:
+    """int(value) if it is at least least, else a DomainError of message.
+
+    message is formatted with the value ({}). A NaN or an infinity, which
+    int() refuses with a ValueError or an OverflowError, breaks it too.
+    """
+    try:
+        count = int(value)
+    except (ValueError, OverflowError):
+        raise DomainError(message.format(value)) from None
+    if count < least:
+        raise DomainError(message.format(count))
+    return count
+
+
 def _snap_into(value: float, bound: float, lower: bool, ulps: int = 4) -> float:
     # Derived parameters can land a few ulps outside a semantic boundary;
     # raw user input is never snapped (validation compares exactly).

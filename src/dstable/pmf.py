@@ -3,10 +3,10 @@
 Two independent routes to the DS PMF: the compound-Poisson mass recursion
 (:func:`ds_pmf`) and coefficient extraction of the PGF on a circle
 (:func:`ds_pmf_inversion`). Their agreement is the package's core numerical
-check. The recursion runs in leaves of 64 masses, each solved by one
-product with a nonnegative leaf inverse for laws of unbounded support;
-while f(0) does not underflow, leaves are solved bare and their running
-sum is checked once per span of 512 entries. Also provides the bSib masses
+check. The recursion runs in leaves of 64 masses; laws of unbounded
+support solve spans of them by one product per leaf with a nonnegative leaf
+inverse, and check each span's running sum once: spans of 512 entries while
+f(0) does not underflow, else of one leaf. Also provides the bSib masses
 w alpha S(n-1)/n from the Sibuya core's survival S (a table up to 2^16, its
 closed form past it; the sampler draws from the same), CDF/quantile lookups
 on computed tables, exact moments, the expanded-representation jump rates,
@@ -30,7 +30,7 @@ from .errors import (
     TailBoundUnreachable,
 )
 from .genfun import _pgf_from_one
-from .params import BSibParams, CompoundRep, DSParams, ds_to_compound
+from .params import BSibParams, CompoundRep, DSParams, _require_count, ds_to_compound
 
 __all__ = [
     "PmfTable",
@@ -67,16 +67,14 @@ _LOG_NO_MASS = -800.0
 # blocks supply the terms from before the leaf, the leaf itself the rest.
 _LEAF = 64
 # Laws of unbounded support solve leaves with a leaf inverse (see
-# _leaf_inverses): all of them while the shared exponent is 0, else from
-# this index on. Inverses are built this many leaves at a time, from leaf
-# 0 on, into one array per table (~0.5 MB; see _batch).
-_BLOCK_FROM = 2
+# _leaf_inverses), built this many leaves at a time, from leaf 0 on, into
+# one array per table (~0.5 MB; see _batch).
 _BATCH = 16
-# While the shared exponent is 0, leaves are solved bare and checked once
-# per span of this many entries, aligned to its multiples (see _bare_span).
-# On the tables mix, 512 measured ~7% faster than 256 and ~15% faster than
-# 64 or 128, and 1024 no faster. At most 1024, so that a span never
-# outgrows the scaled array.
+# While the shared exponent is 0, spans of this many entries, aligned to its
+# multiples, are solved at once and checked once (see _solve_span). On the
+# tables mix, 512 measured ~7% faster than 256 and ~15% faster than 64 or
+# 128, and 1024 no faster. At most 1024, so that a span never outgrows the
+# scaled array.
 _SPAN = 512
 # |j - i| over a leaf's entries, to index the rates' Toeplitz matrix
 _LAGS = np.abs(np.subtract.outer(np.arange(_LEAF), np.arange(_LEAF)))
@@ -190,9 +188,7 @@ def _log_survival(alpha: float, n: int) -> float:
 
 def bsib_pmf(b: BSibParams, n: int) -> float:
     """Pr(X = n) of the broad-Sibuya law (support from 1); O(1) memory past the table cap."""
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"broad-Sibuya support excludes {n}; need n >= 1")
+    n = _require_count(n, "broad-Sibuya support excludes {}; need n >= 1", 1)
     if n <= _TABLE_CAP:
         return float(bsib_pmf_array(b, n)[n])
     w = _core_weight(b.alpha, b.rho)
@@ -201,9 +197,7 @@ def bsib_pmf(b: BSibParams, n: int) -> float:
 
 def bsib_pmf_array(b: BSibParams, n_max: int) -> np.ndarray:
     """Masses p_0..p_{n_max} (p_0 = 0): p_1 = 1 - w, p_n = w alpha S(n-1)/n."""
-    n_max = int(n_max)
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    n_max = _require_count(n_max, "n_max must be >= 0, got {}")
     w = _core_weight(b.alpha, b.rho)
     p = np.zeros(n_max + 1)
     if n_max >= 1:
@@ -313,7 +307,7 @@ def _leaf_inverses(
     [[A, 0], [-C, B]]^-1 = [[A^-1, 0], [B^-1 C A^-1, B^-1]], from the 1x1
     blocks 1/(L+j) up. C holds rates and every new block is a product of
     nonnegative blocks, so the inverse is nonnegative and has no cancellation.
-    Overflow leaves inf or nan entries, which _block_leaf refuses.
+    Overflow leaves inf or nan entries, which _solve_span does not take.
 
     toeplitz: the rates gathered as w_{|j-i|} (weights[_LAGS]); the blocks C
     read only its strictly lower part. rows: the entries the table can take
@@ -378,7 +372,7 @@ def _support(weights: np.ndarray) -> int:
     return weights.size if weights[-1] else np.trim_zeros(weights, "b").size
 
 
-def _bare_span(
+def _solve_span(
     scaled: np.ndarray,
     weights: np.ndarray,
     spectra: dict[int, np.ndarray],
@@ -387,20 +381,26 @@ def _bare_span(
     end: int,
     cum: float,
     target: float,
-) -> tuple[int, float] | None:
-    """Solve the entries start .. end-1 of one span, then check them at once.
+    exp2: int,
+    support: int,
+) -> tuple[int, float, int]:
+    """Solve the entries start .. end-1 leaf by leaf, as inverse @ pending sums.
 
-    While the shared exponent is 0 the scaled values are the masses, at most
-    1, so a leaf needs no rescale and is solved bare, as inverse @ pending
-    sums. The pushes between its leaves (h below the span) write only inside
-    the span. One running sum over the span, seeded with cum and in the
-    loop's order, then gives the stop index. Returns the last entry taken
-    and cum after it; or None, with the span's pending sums restored, if a
-    value is not finite, so that none reaches a later push.
+    The pushes between the span's leaves (h below the span) write only inside
+    it. One running sum of the masses, seeded with cum and added in the
+    loop's order, gives the stop index. Takes the entries up to it, short of
+    the first value that is not finite, and then no more than the span's
+    first leaf: the pushes inside the span fed its later leaves, and the
+    loop, which computes the entries not taken, does not redo them. Those
+    entries get back the pending sums saved at the call, so that no
+    non-finite value reaches a later push. The buffer is rescaled once, after
+    the solve, so a span is one leaf unless exp2 is 0 (the values are the
+    masses, at most 1). Entry j's value reads only pending sums 0..j, so it
+    does not depend on where the table ends. Returns the last entry taken,
+    and cum and exp2 after it.
     """
     first = start - start % _LEAF  # start is 1 in leaf 0, whose entry 0 is given
     saved = scaled[first:end].copy()
-    support = _support(weights)
     with np.errstate(over="ignore", invalid="ignore"):
         for leaf in range(first, end, _LEAF):
             if leaf > first:
@@ -411,54 +411,20 @@ def _bare_span(
             lo, top = max(leaf, start), min(leaf + _LEAF, end)
             values = inverses.leaf(leaf // _LEAF).dot(pending)
             scaled[lo:top] = values[lo - leaf : top - leaf]
-        running = scaled[start - 1 : end].copy()
+        # running[i] is the sum to entry start - 1 + i; running[0] = cum
+        running = np.ldexp(scaled[start - 1 : end], max(exp2, _LDEXP_MIN_EXP))
         running[0] = cum
         np.cumsum(running, out=running)
-    if not math.isfinite(running[-1]):  # a nan or inf anywhere carries to the last sum
-        scaled[first:end] = saved
-        return None
-    # running[0] = cum is below target, so 0 means the span does not reach it
-    last = int(np.argmax(running >= target)) or running.size - 1
-    return start - 1 + last, float(running[last])
-
-
-def _block_leaf(
-    inverse: np.ndarray,
-    scaled: np.ndarray,
-    n: int,
-    n_max: int,
-    cum: float,
-    target: float,
-    exp2: int,
-) -> tuple[int, float, int]:
-    """Solve the leaf from n at once, as inverse @ pending sums.
-
-    Takes its entries up to n_max, up to the first one whose running sum
-    reaches target (added in the loop's order), and short of the first one
-    that is not finite, which the loop then computes. Entry j's value reads
-    only pending sums 0..j, so it does not depend on where the table ends.
-    Returns the entries taken, and cum and exp2 after them.
-    """
-    pending = scaled[n : n + _LEAF]
-    if pending.size < _LEAF:  # the last leaf, cut by n_max
-        pending = np.concatenate((pending, np.zeros(_LEAF - pending.size)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = inverse.dot(pending)[: n_max + 1 - n]
-        running = np.ldexp(values, max(exp2, _LDEXP_MIN_EXP))
-        running[0] += cum
-        np.cumsum(running, out=running)
-    if not math.isfinite(running[-1]):  # so is every sum from the first non-finite value on
-        running = running[: np.isfinite(running).argmin()]
-    if running.size and running.max() >= target:
-        running = running[: np.argmax(running >= target) + 1]
-    taken = running.size
-    if taken:
-        scaled[n : n + taken] = values[:taken]
-        cum = float(running[-1])
-        if values[:taken].max() > _RENORM_LIMIT:
-            scaled *= _RENORM_FACTOR
-            exp2 += 512
-    return taken, cum, exp2
+    last = running.size - 1
+    if not math.isfinite(running[-1]):  # a nan or inf carries to every later sum
+        last = min(int(np.isfinite(running).argmin()) - 1, first + _LEAF - start)
+        scaled[start + last : end] = saved[start + last - first :]
+    if running[last] >= target:  # running[0] = cum is below it
+        last = int(np.argmax(running >= target))
+    if exp2 and last and scaled[start : start + last].max() > _RENORM_LIMIT:
+        scaled *= _RENORM_FACTOR
+        exp2 += 512
+    return start - 1 + last, float(running[last]), exp2
 
 
 def ds_pmf(
@@ -476,14 +442,13 @@ def ds_pmf(
     the rates' lower Toeplitz matrix. Laws of unbounded support solve that
     as one product with the leaf's inverse, which is nonnegative: block
     doubling builds it from products of nonnegative blocks, with no
-    subtraction (see _leaf_inverses). While lam < 700 every leaf is solved
-    that way, bare, and the running sum, stop index and finite check run
-    once per span of _SPAN entries (see _bare_span). From lam = 700 on, a
-    shared power-of-two exponent keeps the recursion alive where f(0) =
-    e^{-lam} underflows; the first two leaves then take the loop, and later
-    ones are checked and rescaled leaf by leaf (see _block_leaf). Hermite
-    and Poisson laws, and any entry the inverse would overflow, take the
-    loop, one dot product per entry. A rate so large that every mass up to
+    subtraction (see _leaf_inverses). The running sum, stop index and
+    finite check run once per span (see _solve_span): of _SPAN entries
+    while lam < 700, and of one leaf from lam = 700 on, where a shared
+    power-of-two exponent keeps the recursion alive though f(0) = e^{-lam}
+    underflows, and is raised between leaves. Hermite and Poisson laws, and
+    any entry the inverse would overflow, take the loop, one dot product
+    per entry. A rate so large that every mass up to
     n_max rounds to 0 gives zeros without the recursion. Stops at
     cumulative mass 1 - tail_bound or at n_max, whichever comes first; if
     n_max wins, a TailBoundUnreachable warning is issued and the table is
@@ -509,9 +474,7 @@ def _ds_pmf(p: DSParams, n_max: int, tail_bound: float) -> PmfTable:
     heavy tails): they skip formatting a warning, and swapping the process-wide
     warning filters, which is not thread-safe.
     """
-    n_max = int(n_max)
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    n_max = _require_count(n_max, "n_max must be >= 0, got {}")
     tail_bound = float(tail_bound)
     if not tail_bound >= 0.0:
         raise DomainError(f"tail_bound must be >= 0, got {tail_bound}")
@@ -532,7 +495,7 @@ def _ds_pmf(p: DSParams, n_max: int, tail_bound: float) -> PmfTable:
 def _recursion(c: CompoundRep, n_max: int, target: float, blocks: bool) -> np.ndarray:
     """ds_pmf's masses, up to n_max or the first running sum >= target.
 
-    blocks: solve leaves with their inverses, in spans while exp2 is 0.
+    blocks: solve leaves with their inverses (the law's support is unbounded).
     """
     lam = c.lam
     if lam < 700.0:
@@ -550,24 +513,23 @@ def _recursion(c: CompoundRep, n_max: int, target: float, blocks: bool) -> np.nd
     scaled = np.zeros(cap)
     scaled[0] = scaled0
     cum = math.ldexp(scaled0, exp2)
-    support = 0  # length of the rates without trailing zeros; 0 until a push needs it
+    # length of the rates without trailing zeros: a solve from entry 1 needs
+    # it, else it waits for the first push (0 until then)
+    support = _support(weights) if blocks else 0
+    # a leaf's second entry adds its pending sum (the older terms) first and
+    # w1 f(n-1) last, in the order of the direct dot product, so Hermite
+    # masses keep its digits
+    second = np.array((1.0, weights[1]))
     spectra: dict[int, np.ndarray] = {}
     ldexp = math.ldexp
     inverses = _Inverses(weights, n_max)
 
     n = leaf = 0
-    # While exp2 is 0, spans of leaves are solved bare (see _bare_span) from
-    # entry 1 on; a span with a value that is not finite takes the per-leaf
-    # path. span: where the next one starts.
-    bare = blocks and exp2 == 0
-    span = _SPAN
-    if bare and n_max and cum < target:
-        solved = _bare_span(
-            scaled, weights, spectra, inverses, 1, min(span, n_max + 1), cum, target
-        )
-        if solved:
-            n, cum = solved
-            leaf = n - n % _LEAF
+    # blocks: spans are solved by their leaf inverses (see _solve_span) from
+    # entry 1 and each leaf edge the loop reaches, to the next multiple of
+    # step: _SPAN entries while exp2 is 0, else one leaf, so that every
+    # rescale falls between leaves
+    step = _SPAN if exp2 == 0 else _LEAF
     while n < n_max and cum < target:
         n += 1
         j = n - leaf
@@ -581,28 +543,15 @@ def _recursion(c: CompoundRep, n_max: int, target: float, blocks: bool) -> np.nd
                 support = 0
             if not support:
                 support = _support(weights)
-                # a leaf's second entry adds its pending sum (the older terms)
-                # first and w1 f(n-1) last, in the order of the direct dot
-                # product, so Hermite masses keep its digits
-                second = np.array((1.0, weights[1]))
             _push(scaled, weights, support, n, h, spectra)
-            if bare and n == span:
-                span += _SPAN
-                solved = _bare_span(
-                    scaled, weights, spectra, inverses, n, min(span, n_max + 1), cum, target
-                )
-                if solved:
-                    n, cum = solved
-                    leaf = n - n % _LEAF
-                    continue
-            index = n // _LEAF
-            if blocks and index >= _BLOCK_FROM:
-                taken, cum, exp2 = _block_leaf(
-                    inverses.leaf(index), scaled, n, n_max, cum, target, exp2
-                )
-                if taken:
-                    n += taken - 1
-                    continue
+        if blocks and (j == 0 or n == 1):
+            end = min(n - n % step + step, n_max + 1)
+            last, cum, exp2 = _solve_span(
+                scaled, weights, spectra, inverses, n, end, cum, target, exp2, support
+            )
+            if last >= n:
+                n, leaf = last, last - last % _LEAF
+                continue
         if j == 1 and leaf:
             value = float(second.dot((scaled[n], scaled[leaf]))) / n
         else:
@@ -633,14 +582,10 @@ def ds_pmf_inversion(
     tail mass beyond M) at the cost of amplifying roundoff by r^{-n}; the
     default balances the two at ~1e-13 + 1e-13 * r^{-n_max}.
     """
-    n_max = int(n_max)
-    quad_points = int(quad_points)
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
-    if quad_points <= 2 * n_max:
-        raise DomainError(
-            f"quad_points must exceed 2*n_max, got {quad_points} <= {2 * n_max}"
-        )
+    n_max = _require_count(n_max, "n_max must be >= 0, got {}")
+    quad_points = _require_count(
+        quad_points, f"quad_points must exceed 2*n_max, got {{}} <= {2 * n_max}", 2 * n_max + 1
+    )
     if radius is None:
         radius = 1e-13 ** (1.0 / (quad_points + n_max))
     radius = float(radius)
@@ -675,7 +620,7 @@ def ds_pmf_inversion(
 
 def cdf(table: PmfTable, n: int) -> float:
     """Pr(X <= n) from a computed table; n past the table raises."""
-    n = int(n)
+    n = _require_count(n, "cdf index must be an integer, got {}", -math.inf)
     if n < 0:
         return 0.0
     if n >= len(table):
@@ -713,9 +658,7 @@ def levy_weights(c: CompoundRep, n_max: int) -> np.ndarray:
     Size-n jumps arrive as an independent Poisson stream with rate
     lam * p_n; the rates sum to lam as n_max grows.
     """
-    n_max = int(n_max)
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    n_max = _require_count(n_max, "n_max must be >= 1, got {}", 1)
     return c.lam * bsib_pmf_array(c.summand, n_max)[1:]
 
 

@@ -42,7 +42,7 @@ from numpy.random import PCG64, Generator, SeedSequence
 
 from .errors import DomainError
 from .genfun import stability_mu, translate_params
-from .params import BSibParams, DSParams, classify
+from .params import BSibParams, DSParams, _require_count, classify
 from .pmf import _SERIES_FROM, _TABLE_CAP, PmfTable, _core_weight, _ds_pmf, _neg_survival
 
 __all__ = [
@@ -469,9 +469,7 @@ def _jump_free_draws(rate: float, core_rate: float, gen: Generator, n: int) -> l
 
 
 def _sample_ds_array(p: DSParams, rng: RngStream, size: int) -> np.ndarray:
-    size = int(size)
-    if size < 0:
-        raise DomainError(f"size must be >= 0, got {size}")
+    size = _require_count(size, "size must be >= 0, got {}")
     rate, core_rate = _split_rates(p.alpha, p.gamma, p.delta)
     total = _poisson_array(rate, size, rng)
     counts = _poisson_array(core_rate, size, rng)
@@ -539,9 +537,7 @@ def thin(x: int | np.ndarray, a: float, rng: RngStream) -> int | np.ndarray:
         raise DomainError(f"thinning fraction must lie in [0, 1], got {a}")
     if isinstance(x, np.ndarray):
         return _thin_array(x, a, rng)
-    x = int(x)
-    if x < 0:
-        raise DomainError(f"cannot thin a negative count, got {x}")
+    x = _require_count(x, "cannot thin a negative count, got {}")
     if a == 0.0 or x == 0:
         return 0
     if a == 1.0:
@@ -586,7 +582,8 @@ def translate(x: int, m: float, rng: RngStream) -> int:
         raise DomainError(
             f"sampling can only realize nonnegative translations, got {m}"
         )
-    return int(x) + sample_poisson(m, rng)
+    x = _require_count(x, "translate needs an integer count, got {}", -math.inf)
+    return x + sample_poisson(m, rng)
 
 
 @dataclass(frozen=True)
@@ -731,9 +728,7 @@ def stability_experiment(
     rho = float(rho)
     if not 0.0 < rho < 1.0:
         raise DomainError(f"rho must lie in (0, 1), got {rho}")
-    n_samples = int(n_samples)
-    if n_samples < 1000:
-        raise DomainError(f"need at least 1000 samples, got {n_samples}")
+    n_samples = _require_count(n_samples, "need at least 1000 samples, got {}", 1000)
 
     mu = stability_mu(p, rho) if mu_override is None else float(mu_override)
     table = _reference_table(translate_params(p, mu), n_samples)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import dstable
 from dstable import (
     BSibParams,
     CompoundRep,
@@ -330,3 +331,29 @@ class TestSelfDecomposablePremise:
         p = DSParams(alpha, gamma, bound + side * max(math.ulp(bound), math.ulp(lam)))
         assert classify(p).self_decomposable == (side > 0)
         assert _rates_never_increase(p) == (side > 0)
+
+
+_P = DSParams(1.5, 1.0, 3.0)
+# each call passes its one argument where a count goes
+COUNT_CALLS = {
+    "cdf": lambda n: dstable.cdf(dstable.ds_pmf(_P, 50, 1e-3), n),
+    "bsib_pmf": lambda n: dstable.bsib_pmf(BSibParams(0.5, 0.0), n),
+    "ds_pmf": lambda n: dstable.ds_pmf(_P, n),
+    "levy_weights": lambda n: levy_weights(ds_to_compound(_P), n),
+    "ds_pmf_inversion n_max": lambda n: dstable.ds_pmf_inversion(_P, n, 64),
+    "ds_pmf_inversion quad_points": lambda n: dstable.ds_pmf_inversion(_P, 10, n),
+    "thin": lambda n: dstable.thin(n, 0.5, dstable.RngStream(1)),
+    "translate": lambda n: dstable.translate(n, 1.0, dstable.RngStream(1)),
+    "sample_ds": lambda n: dstable.sample_ds(_P, dstable.RngStream(1), size=n),
+    "stability_experiment": lambda n: dstable.stability_experiment(
+        _P, 0.5, n, dstable.RngStream(1)
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", COUNT_CALLS)
+def test_non_finite_count_raises_a_domain_error(name, bad):
+    # int() refuses these with a ValueError or an OverflowError
+    with pytest.raises(DomainError, match="nan|inf"):
+        COUNT_CALLS[name](bad)

@@ -6,10 +6,12 @@ import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from dstable import (
@@ -34,6 +36,7 @@ from dstable import (
 from dstable import pmf as pmf_module
 from dstable.errors import (
     DomainError,
+    DstableError,
     IndexBeyondTable,
     InternalConsistencyError,
     QuadratureInsufficiency,
@@ -407,17 +410,17 @@ class TestBlockLeaves:
             got = make_table(p, n_max=2000, tail_bound=tail_bound)
             assert len(got) == oracles.direct_ds_pmf(p, 2000, tail_bound).size == stop + 1
 
-    def test_rescale_after_block_leaf(self, monkeypatch):
+    def test_rescale_after_a_leaf_solve(self, monkeypatch):
         # lam = 2000: the masses climb from e^-2000 past several 2^512 steps
         rescaled = []
-        solve = pmf_module._block_leaf
+        solve = pmf_module._solve_span
 
         def spy(*args):
-            taken, cum, exp2 = solve(*args)
-            rescaled.append(exp2 != args[-1])
-            return taken, cum, exp2
+            last, cum, exp2 = solve(*args)
+            rescaled.append(exp2 != args[8])
+            return last, cum, exp2
 
-        monkeypatch.setattr(pmf_module, "_block_leaf", spy)
+        monkeypatch.setattr(pmf_module, "_solve_span", spy)
         p = DSParams(1.5, 1.0, 2001.0)
         got = make_table(p, n_max=4000).masses
         assert sum(rescaled) >= 2
@@ -432,15 +435,14 @@ class TestBlockLeaves:
         # lam = 1e5: near n = 200 the masses grow by ~2^9 an entry, so a leaf
         # solve passes 2^1024 and the loop takes that leaf from there
         cut = []
-        solve = pmf_module._block_leaf
+        solve = pmf_module._solve_span
 
         def record(*args):
             result = solve(*args)
-            n, n_max = args[2:4]
-            cut.append(result[0] < min(_LEAF, n_max + 1 - n))
+            cut.append(result[0] < args[5] - 1)  # short of the span's end
             return result
 
-        monkeypatch.setattr(pmf_module, "_block_leaf", record)
+        monkeypatch.setattr(pmf_module, "_solve_span", record)
         p = DSParams(1.5, 1.0, 1e5 + 1.0)
         n_max = 10**5 + 1500
         got = make_table(p, n_max=n_max).masses
@@ -456,7 +458,7 @@ class TestBlockLeaves:
 
     def test_finite_support_keeps_the_loop(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(pmf_module, "_block_leaf", lambda *args: calls.append(args))
+        monkeypatch.setattr(pmf_module, "_solve_span", lambda *args: calls.append(args))
         for raw in FINITE_SUPPORT:
             make_table(DSParams(*raw), n_max=2000, tail_bound=0.0)
         assert not calls
@@ -486,18 +488,42 @@ class TestBlockLeaves:
             part = pmf_module._leaf_inverses(toeplitz, 16, 1, rows)[0]
             assert np.array_equal(part[:top, :top], batch[0][:top, :top])
 
-    def test_solve_stops_short_of_a_non_finite_value(self):
+    @staticmethod
+    def planted_inverses(index):
+        """Leaf inverses that are the identity, but for an inf in leaf index's row 10."""
         inverse = np.eye(_LEAF)
-        inverse[10, 3] = math.inf
+        planted = inverse.copy()
+        planted[10, 3] = math.inf
+        return SimpleNamespace(leaf=lambda k: planted if k == index else inverse)
+
+    def test_solve_stops_short_of_a_non_finite_value(self):
         scaled = np.arange(1.0, 3 * _LEAF + 1.0)
-        taken, cum, exp2 = pmf_module._block_leaf(inverse, scaled, _LEAF, 10**4, 0.0, 1.0, -10)
-        assert (taken, exp2) == (10, -10)
+        inverses = self.planted_inverses(1)
+        solve = pmf_module._solve_span
+        last, cum, exp2 = solve(scaled, None, {}, inverses, _LEAF, 2 * _LEAF, 0.0, 1.0, -10, 1)
+        assert (last, exp2) == (_LEAF + 9, -10)
         assert cum == math.fsum(range(_LEAF + 1, _LEAF + 11)) / 1024.0
-        assert scaled[_LEAF : _LEAF + 10].tolist() == list(range(_LEAF + 1, _LEAF + 11))
+        # the taken entries hold their values; the rest of the span, its pending sums
+        assert scaled.tolist() == list(range(1, 3 * _LEAF + 1))
+
+    def test_solve_keeps_no_more_than_the_first_leaf_of_a_span(self):
+        # an inf in the span's second leaf: the push between its leaves has fed
+        # the second leaf, so all of it gets back the pending sums of the call
+        weights = np.full(4 * _LEAF, 1e-3)
+        scaled = np.arange(1.0, 4 * _LEAF + 1.0)
+        before = scaled.copy()
+        inverses = self.planted_inverses(3)
+        solve = pmf_module._solve_span
+        last, cum, exp2 = solve(
+            scaled, weights, {}, inverses, 2 * _LEAF, 4 * _LEAF, 0.0, 1e6, 0, weights.size
+        )
+        assert (last, exp2) == (3 * _LEAF - 1, 0)
+        assert cum == math.fsum(range(2 * _LEAF + 1, 3 * _LEAF + 1))
+        assert scaled.tolist() == before.tolist()
 
 
 class TestBareSpans:
-    """Leaves solved bare while the shared exponent is 0, checked once per span."""
+    """Spans of leaves solved at once while the shared exponent is 0, checked once each."""
 
     @pytest.mark.parametrize("raw", PARAM_GRID + HEAVY_TAILS)
     def test_masses_independent_of_n_max(self, raw):
@@ -534,10 +560,12 @@ class TestBareSpans:
             got = make_table(p, n, tail_bound).masses
             assert got.tolist() == want.tolist(), (n, tail_bound)
 
-    def test_non_finite_span_takes_the_per_leaf_path(self, monkeypatch):
+    def test_non_finite_span_keeps_at_most_its_first_leaf(self, monkeypatch):
         # an inf in the inverse of the second span's second leaf makes that
-        # span's running sum nan: the span is redone leaf by leaf from its
-        # saved pending sums, exactly as if its bare solve had never run
+        # span's running sum nan: it keeps its first leaf, and the rest gets
+        # back its saved pending sums; the solve from the planted leaf stops
+        # short of the inf, the loop takes that leaf's rest, and the next
+        # leaf edge goes back to the inverse
         span = pmf_module._SPAN
         planted_leaf = span + _LEAF
         build = pmf_module._leaf_inverses
@@ -552,44 +580,37 @@ class TestBareSpans:
         monkeypatch.setattr(pmf_module, "_leaf_inverses", planted)
         push = pmf_module._push
         finite = []
+        solving = []
 
         def checked_push(scaled, weights, support, e, h, spectra):
-            if e % span == 0:  # the loop's push, after a span's check
+            if not solving:  # the loop's push, after a span's check
                 finite.append(bool(np.isfinite(scaled).all()))
             push(scaled, weights, support, e, h, spectra)
 
         monkeypatch.setattr(pmf_module, "_push", checked_push)
-        leaf_solve = pmf_module._block_leaf
-        per_leaf = []
+        solve = pmf_module._solve_span
+        spans = []
 
         def record(*args):
-            result = leaf_solve(*args)
-            per_leaf.append((args[2], result[0]))
+            solving.append(True)
+            result = solve(*args)
+            solving.pop()
+            spans.append((args[4], result[0]))
             return result
 
-        monkeypatch.setattr(pmf_module, "_block_leaf", record)
+        monkeypatch.setattr(pmf_module, "_solve_span", record)
         p = DSParams(1.3, 1.0, 2.0)
         got = make_table(p, n_max=2000, tail_bound=0.0).masses
-        assert per_leaf == [
-            (leaf, 10 if leaf == planted_leaf else _LEAF)
-            for leaf in range(span, 2 * span, _LEAF)
+        assert spans == [
+            (1, span - 1),
+            (span, planted_leaf - 1),
+            (planted_leaf, planted_leaf + 9),
+            (planted_leaf + _LEAF, 2 * span - 1),
+            (2 * span, 3 * span - 1),
+            (3 * span, 2000),
         ]
         assert finite and all(finite)
         assert np.all(np.isfinite(got))
-
-        solve = pmf_module._bare_span
-        skipped = []
-
-        def skip_second_span(scaled, weights, spectra, inverses, start, *rest):
-            if start == span:
-                skipped.append(start)
-                return None
-            return solve(scaled, weights, spectra, inverses, start, *rest)
-
-        monkeypatch.setattr(pmf_module, "_bare_span", skip_second_span)
-        want = make_table(p, n_max=2000, tail_bound=0.0).masses
-        assert skipped == [span]
-        assert got.tolist() == want.tolist()
         # the planted leaf from its entry 10 on came from the loop, within
         # roundoff of its inverse
         monkeypatch.undo()
@@ -612,9 +633,9 @@ class TestBareSpans:
     def test_short_tables_solve_leaf_zero_by_inverse(self, monkeypatch):
         # down to one entry past f(0); finite support keeps the loop
         calls = []
-        solve = pmf_module._bare_span
+        solve = pmf_module._solve_span
         monkeypatch.setattr(
-            pmf_module, "_bare_span", lambda *args: calls.append(args[4]) or solve(*args)
+            pmf_module, "_solve_span", lambda *args: calls.append(args[4]) or solve(*args)
         )
         for n in (1, 2, 5, 63):
             for raw in PARAM_GRID:
@@ -625,6 +646,25 @@ class TestBareSpans:
                 assert np.max(np.abs(got - want)) <= 1e-16
         bare = sum(1 for raw in PARAM_GRID if raw[0] < 2.0 and raw[1] != 0.0)
         assert calls == [1] * (4 * bare)
+
+    def test_leaves_0_and_1_by_inverse_past_rate_700(self, monkeypatch):
+        # lam = 999: the shared exponent makes each span one leaf, from entry 1
+        spans = []
+        solve = pmf_module._solve_span
+
+        def record(*args):
+            result = solve(*args)
+            spans.append((args[4], args[5], result[0]))
+            return result
+
+        monkeypatch.setattr(pmf_module, "_solve_span", record)
+        p = DSParams(1.5, 1.0, 1000.0)
+        got = make_table(p, n_max=130, tail_bound=0.0).masses
+        assert spans == [(1, _LEAF, _LEAF - 1), (_LEAF, 2 * _LEAF, 2 * _LEAF - 1), (128, 131, 130)]
+        want = oracles.direct_ds_pmf(p, 130, 0.0)
+        big = want > 1e-300
+        assert got.size == want.size and big.sum() > 10
+        assert np.max(np.abs(got - want)[big] / want[big]) <= 1e-13
 
 
 class TestTableState:
@@ -661,7 +701,7 @@ class TestTableState:
 
     @pytest.mark.parametrize("raw", [(1.3, 1.0, 2.0), (1.5, 1.0, 1000.0)])
     def test_one_toeplitz_and_one_array_per_table(self, raw, monkeypatch):
-        # lam = 999 solves leaves 0 and 1 by the loop, yet its batches start at leaf 0
+        # lam = 999 solves one leaf a span, and lam = 1.5 eight, on the same batches
         builds = []
         build = pmf_module._leaf_inverses
 
@@ -737,6 +777,49 @@ def test_far_tail_parity_with_long_double(raw):
     rel = np.abs(got.astype(np.longdouble) - want) / want
     assert float(rel.max()) <= FAR_TAIL_BOUNDS[raw]
 
+
+
+# alpha near 0, near 1 and at 2, and anywhere in (0, 2]
+PROPERTY_ALPHAS = st.one_of(
+    st.sampled_from([2.0, 1.0, 1.0 - 1e-9, 1.0 + 1e-9]),
+    st.floats(min_value=-30.0, max_value=-1.0).map(lambda e: 10.0**e),
+    st.floats(min_value=0.0, max_value=2.0, exclude_min=True),
+)
+# compound rates log-uniform up to 1e4, and from 700 to 6000, where the
+# shared exponent rescales; past ~5500 every table up to 3001 entries is
+# zeros without the recursion
+PROPERTY_RATES = st.one_of(
+    st.floats(min_value=-3.0, max_value=4.0).map(lambda e: 10.0**e),
+    st.floats(min_value=700.0, max_value=6000.0),
+)
+
+# the core's share of the rate, down to 1e-12 (the ratio delta/|gamma| that
+# ds_to_compound resolves ends near 1e16); gamma = 0 only at alpha = 1
+SHARES = st.floats(min_value=-12.0, max_value=0.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def compound_rate_laws(draw):
+    """(alpha, gamma, delta) of compound rate ~lam, its core jumps at the share u."""
+    alpha, lam = draw(PROPERTY_ALPHAS), draw(PROPERTY_RATES)
+    u = draw(st.one_of(st.just(0.0), SHARES) if alpha == 1.0 else SHARES)
+    if alpha < 1.0:
+        return alpha, -u * lam, (1.0 - u) * lam
+    return alpha, u * lam, lam if alpha == 1.0 else lam + u * lam
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(compound_rate_laws(), st.integers(0, 1500), st.sampled_from([0.0, 1e-12, 1e-6]))
+def test_ds_pmf_finite_and_a_prefix_of_longer_tables(raw, n_max, tail_bound):
+    # finite masses >= 0 or a named error; a longer table only appends entries
+    try:
+        short = pmf_module._ds_pmf(DSParams(*raw), n_max, tail_bound).masses
+    except DstableError:
+        return
+    assert np.all(np.isfinite(short)) and np.all(short >= 0.0)
+    full = pmf_module._ds_pmf(DSParams(*raw), 2 * n_max + 1, tail_bound).masses
+    assert short.size == min(n_max + 1, full.size)
+    assert short.tobytes() == full[: short.size].tobytes()
 
 def test_library_does_not_import_scipy():
     # scipy is a test extra; importing it would slow every CLI start
