@@ -255,6 +255,22 @@ class Classification:
     variance_finite: bool
 
 
+def _compound_rate(p: DSParams) -> float:
+    """The compound rate lam: delta at alpha = 1, else delta - gamma.
+
+    A DomainError where delta - gamma passes the float range.
+    """
+    if p.alpha == 1.0:
+        return p.delta
+    lam = p.delta - p.gamma
+    if math.isinf(lam):
+        raise DomainError(
+            f"the compound rate delta - gamma = {p.delta:.6g} - ({p.gamma:.6g}) "
+            f"passes the float range (~1.8e308)"
+        )
+    return lam
+
+
 def ds_to_compound(p: DSParams) -> CompoundRep:
     """Compound-Poisson representation (rate, jump law) of a DS law.
 
@@ -269,17 +285,11 @@ def ds_to_compound(p: DSParams) -> CompoundRep:
         raise DegenerateDistribution(
             "the point mass at zero has no compound representation with rate > 0"
         )
+    lam = _compound_rate(p)
     if p.alpha == 1.0:
-        lam = p.delta
         rho = p.gamma / p.delta if p.gamma != 0.0 else 0.0
         rho = _snap_into(rho, 1.0, lower=False)
     else:
-        lam = p.delta - p.gamma
-        if math.isinf(lam):
-            raise DomainError(
-                f"the compound rate delta - gamma = {p.delta:.6g} - ({p.gamma:.6g}) "
-                f"passes the float range (~1.8e308)"
-            )
         rho = p.delta / lam
         if rho == 1.0:
             raise DomainError(

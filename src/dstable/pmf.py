@@ -6,11 +6,15 @@ Two independent routes to the DS PMF: the compound-Poisson mass recursion
 check. The recursion runs in leaves of 64 masses; laws of unbounded
 support solve spans of them by one product per leaf with a nonnegative leaf
 inverse, and check each span's running sum once: spans of 512 entries while
-f(0) does not underflow, else of one leaf. Also provides the bSib masses
-w alpha S(n-1)/n from the Sibuya core's survival S (a table up to 2^16, its
-closed form past it; the sampler draws from the same), CDF/quantile lookups
-on computed tables, exact moments, the expanded-representation jump rates,
-and mode analysis.
+f(0) does not underflow, else of one leaf. The recursion's jump rates come
+from the split that the sampler draws from (:func:`_split_rates`): unit
+jumps at the Poisson rate delta - alpha gamma, and k alpha S(k-1) at the
+core rate for k >= 2, with no rho in between. Only Hermite laws (alpha = 2)
+take theirs through rho, whose digits their masses keep. Also provides the
+bSib masses w alpha S(n-1)/n from the Sibuya core's survival S (a table up
+to 2^16, its closed form past it; the sampler draws from the same),
+CDF/quantile lookups on computed tables, exact moments, the
+expanded-representation jump rates, and mode analysis.
 """
 
 from __future__ import annotations
@@ -30,7 +34,14 @@ from .errors import (
     TailBoundUnreachable,
 )
 from .genfun import _pgf_from_one
-from .params import BSibParams, CompoundRep, DSParams, _require_count, ds_to_compound
+from .params import (
+    BSibParams,
+    CompoundRep,
+    DSParams,
+    _compound_rate,
+    _require_count,
+    ds_to_compound,
+)
 
 __all__ = [
     "PmfTable",
@@ -156,6 +167,24 @@ def _core_weight(alpha: float, rho: float) -> float:
     return rho if alpha == 1.0 else (1.0 - rho) * (1.0 - alpha)
 
 
+def _split_rates(alpha: float, gamma: float, delta: float) -> tuple[float, float]:
+    """(Poisson rate, core compound rate) of DS(alpha, gamma, delta).
+
+    With x = 1 - z the PGF is exp(-(delta - alpha gamma) x) times the core
+    law's exp(-alpha gamma x + gamma x^alpha). The core rate (alpha - 1) gamma,
+    or gamma at alpha = 1, has no delta in it and stays within |gamma|. The
+    Poisson rate is >= 0 as computed: DSParams checked delta >= alpha gamma.
+    Past the float range it raises a DomainError.
+    """
+    rate = delta - alpha * gamma
+    if math.isinf(rate):
+        raise DomainError(
+            f"the Poisson rate delta - alpha gamma = {delta:.6g} - {alpha:g} "
+            f"({gamma:.6g}) passes the float range (~1.8e308)"
+        )
+    return rate, gamma if alpha == 1.0 else (alpha - 1.0) * gamma
+
+
 def _neg_survival(alpha: float, size: int, start: int = 1, before: float = -1.0) -> np.ndarray:
     """-S(start..size) of the Sibuya core at alpha, negated to ascend (size >= start).
 
@@ -213,34 +242,32 @@ def _params_tag(p: DSParams) -> str:
 
 
 class _Rates:
-    """One table's jump rates k lam p_k, for k below a power of two, grown as it grows.
+    """One table's jump rates w_k, for k below a power of two, grown as it grows.
 
-    A push into entries below cap with an FFT of size 2h reads the rates up
-    to 2h - 1, and grow(cap) keeps all below the least power of two >= cap
-    there: a spectrum padded with zeros would give entries digits that
-    depend on n_max. grow continues the core survival's product from its
-    last value (see _neg_survival), so the rates have the digits of
-    lam * k * bsib_pmf_array whatever sizes they grew through.
+    w_0 = 0, w_1 = rate (the unit jumps) and w_k = core_rate alpha S(k-1)
+    for k >= 2, k times the rate of the core's k-jumps. A push into entries below cap
+    with an FFT of size 2h reads the rates up to 2h - 1, and grow(cap) keeps
+    all below the least power of two >= cap there: a spectrum padded with
+    zeros would give entries digits that depend on n_max. grow continues the
+    core survival's product from its last value (see _neg_survival), so the
+    rates have the same digits whatever sizes they grew through.
     """
 
-    __slots__ = ("c", "weights", "survival")
+    __slots__ = ("alpha", "core_rate", "weights", "survival")
 
-    def __init__(self, c: CompoundRep, cap: int):
-        self.c = c
-        self.weights = c.lam * bsib_pmf_array(c.summand, 1)  # k = 0, 1
+    def __init__(self, alpha: float, rate: float, core_rate: float, cap: int):
+        self.alpha, self.core_rate = alpha, core_rate
+        self.weights = np.array((0.0, rate))
         self.survival = -1.0  # -S(k - 2) of the next rate k, once k passes 2
         self.grow(cap)
 
     def grow(self, cap: int) -> np.ndarray:
         lo, size = self.weights.size, 1 << (cap - 1).bit_length()
         if size > lo:
-            b = self.c.summand
-            masses = _neg_survival(b.alpha, size - 2, lo - 1, self.survival)
-            self.survival = float(masses[-1])
-            k = np.arange(float(lo), float(size))
-            np.multiply(masses, -_core_weight(b.alpha, b.rho) * b.alpha, out=masses)
-            np.divide(masses, k, out=masses)  # p_k = w alpha S(k-1)/k, as bsib_pmf_array
-            self.weights = np.concatenate((self.weights, self.c.lam * k * masses))
+            rates = _neg_survival(self.alpha, size - 2, lo - 1, self.survival)
+            self.survival = float(rates[-1])
+            np.multiply(rates, -self.core_rate * self.alpha, out=rates)
+            self.weights = np.concatenate((self.weights, rates))
         return self.weights
 
 
@@ -434,9 +461,14 @@ def ds_pmf(
 ) -> PmfTable:
     """DS masses f(0..N) by the compound-Poisson recursion.
 
-    Runs f(n) = (lam/n) * sum_k k p_k f(n-k) in the linear domain; every term
-    is nonnegative so there is no cancellation. The sum is an online
-    convolution, evaluated by relaxed multiplication in O(n log^2 n): block
+    Runs f(n) = (1/n) * sum_k w_k f(n-k) in the linear domain; every term
+    is nonnegative so there is no cancellation. The rates w_k = lam k p_k
+    are the split's (see _split_rates): w_1 = delta - alpha gamma and
+    w_k = R alpha S(k-1) from k = 2 on, R the core rate and S the Sibuya
+    core's survival, with no rho in between, so laws past delta/|gamma| ~
+    1e16 have masses too. Hermite laws (alpha = 2) alone take theirs
+    through rho, so that their masses keep the direct recursion's digits.
+    The sum is an online convolution, evaluated by relaxed multiplication in O(n log^2 n): block
     pushes carry the terms between leaves of _LEAF entries (see _push).
     Within a leaf at L the masses solve (diag(L+j) - W) f = pending sums, W
     the rates' lower Toeplitz matrix. Laws of unbounded support solve that
@@ -473,6 +505,12 @@ def _ds_pmf(p: DSParams, n_max: int, tail_bound: float) -> PmfTable:
     For callers whose tables miss the bound by design (truncated windows,
     heavy tails): they skip formatting a warning, and swapping the process-wide
     warning filters, which is not thread-safe.
+
+    The rates are the split (rate, core_rate) of _split_rates, and f(0) =
+    e^-lam for the compound rate lam, as ds_to_compound forms it. Hermite
+    laws take rate = lam (1 - w) and core_rate = lam w through rho instead:
+    those are bit-equal to lam k p_k, so their masses keep the digits of the
+    direct recursion over lam k p_k, which the split's would not.
     """
     n_max = _require_count(n_max, "n_max must be >= 0, got {}")
     tail_bound = float(tail_bound)
@@ -482,22 +520,33 @@ def _ds_pmf(p: DSParams, n_max: int, tail_bound: float) -> PmfTable:
     if p.gamma == 0.0 and p.delta == 0.0:
         return PmfTable(np.array([1.0]), tag, tail_bound)
 
-    c = ds_to_compound(p)
+    if p.alpha == 2.0:
+        # the split rates move some Hermite masses in the last bit; at
+        # DS(2, 0.5, 4) the running sum then reaches exactly 1, so that a table
+        # at tail_bound 0 stops at 36 entries instead of running to n_max
+        c = ds_to_compound(p)
+        lam, w = c.lam, _core_weight(2.0, c.summand.rho)
+        rate, core_rate = lam * max(1.0 - w, 0.0), lam * w
+    else:
+        lam = _compound_rate(p)  # f(0) = e^-lam, as CompoundRep.lam
+        rate, core_rate = _split_rates(p.alpha, p.gamma, p.delta)
     target = 1.0 - tail_bound
     # Pr(X <= n) <= Pr(at most n jumps) <= e^-lam (e lam / n)^n for n < lam
-    if n_max < c.lam and n_max * (1.0 + math.log(c.lam / max(n_max, 1))) - c.lam < _LOG_NO_MASS:
+    if n_max < lam and n_max * (1.0 + math.log(lam / max(n_max, 1))) - lam < _LOG_NO_MASS:
         masses = np.zeros(n_max + 1 if target > 0.0 else 1)
     else:
-        masses = _recursion(c, n_max, target, p.alpha < 2.0 and p.gamma != 0.0)
+        rates = _Rates(p.alpha, rate, core_rate, _LEAF)  # a leaf inverse reads 64 rates
+        masses = _recursion(lam, rates, n_max, target, p.alpha < 2.0 and p.gamma != 0.0)
     return PmfTable(masses, tag, tail_bound)
 
 
-def _recursion(c: CompoundRep, n_max: int, target: float, blocks: bool) -> np.ndarray:
+def _recursion(lam: float, rates: _Rates, n_max: int, target: float, blocks: bool) -> np.ndarray:
     """ds_pmf's masses, up to n_max or the first running sum >= target.
 
-    blocks: solve leaves with their inverses (the law's support is unbounded).
+    lam: the compound rate, f(0) = e^-lam. rates: the jump rates, grown here
+    as the table grows. blocks: solve leaves with their inverses (the law's
+    support is unbounded).
     """
-    lam = c.lam
     if lam < 700.0:
         scaled0, exp2 = math.exp(-lam), 0
     else:
@@ -508,8 +557,7 @@ def _recursion(c: CompoundRep, n_max: int, target: float, blocks: bool) -> np.nd
     # scaled[n] holds f(n) once computed; before that, the pending share of
     # its sum that earlier blocks pushed forward
     cap = min(n_max, 1024) + 1
-    rates = _Rates(c, max(cap, _LEAF))  # a leaf inverse reads 64 rates
-    weights = rates.weights
+    weights = rates.grow(cap)
     scaled = np.zeros(cap)
     scaled[0] = scaled0
     cum = math.ldexp(scaled0, exp2)
@@ -668,8 +716,11 @@ def mode_scan(table: PmfTable, plateau_tol: float = 1e-12) -> ModeReport:
     Adjacent masses within plateau_tol (relative) merge into one plateau;
     exactly-zero masses never join a plateau or form a mode. The unimodal
     flag means exactly one plateau of local maxima was found over the
-    scanned range.
+    scanned range. A plateau_tol that is not >= 0 raises a DomainError.
     """
+    plateau_tol = float(plateau_tol)
+    if not plateau_tol >= 0.0:  # nan fails too
+        raise DomainError(f"plateau_tol must be >= 0, got {plateau_tol}")
     m = table.masses
     size = m.size
     left, right = m[:-1], m[1:]

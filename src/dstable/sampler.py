@@ -16,7 +16,8 @@ capped table it inverts S's closed form by bisection around its asymptotic
 inverse, on the top 64 bits of answers past 2^4096. An array of jumps finds
 most of its tail answers in numpy instead, by the asymptotic inverse and a
 Newton step checked against the bisection's comparisons, with the same
-integers. w, S's table and its closed form come from pmf, as the masses do.
+integers. The rate split, w, S's table and its closed form come from pmf,
+whose masses read the same.
 Poisson and binomial draws are numpy's (transformed rejection / BTPE), except
 that Poisson rates from 2^33 and binomial counts past 1e17 take the normal
 limit, in integer arithmetic.
@@ -43,7 +44,15 @@ from numpy.random import PCG64, Generator, SeedSequence
 from .errors import DomainError
 from .genfun import stability_mu, translate_params
 from .params import BSibParams, DSParams, _require_count, classify
-from .pmf import _SERIES_FROM, _TABLE_CAP, PmfTable, _core_weight, _ds_pmf, _neg_survival
+from .pmf import (
+    _SERIES_FROM,
+    _TABLE_CAP,
+    PmfTable,
+    _core_weight,
+    _ds_pmf,
+    _neg_survival,
+    _split_rates,
+)
 
 __all__ = [
     "RngStream",
@@ -127,7 +136,7 @@ class RngStream:
     """
 
     def __init__(self, seed: int, _ss: SeedSequence | None = None):
-        self.seed = int(seed) & _MASK64
+        self.seed = _require_count(seed, "seed must be an integer, got {}", -math.inf) & _MASK64
         self._ss = SeedSequence(self.seed) if _ss is None else _ss
         self._gen = Generator(PCG64(self._ss))
 
@@ -382,15 +391,6 @@ def sample_bsib(b: BSibParams, rng: RngStream) -> int:
     return _core_table(b.alpha).draw(t / w)
 
 
-def _split_rates(alpha: float, gamma: float, delta: float) -> tuple[float, float]:
-    """(Poisson rate, core compound rate) of DS(alpha, gamma, delta).
-
-    The core rate (alpha - 1) gamma, or gamma at alpha = 1, has no delta in it.
-    The Poisson rate is >= 0 as computed: DSParams checked delta >= alpha gamma.
-    """
-    return delta - alpha * gamma, gamma if alpha == 1.0 else (alpha - 1.0) * gamma
-
-
 def sample_ds(p: DSParams, rng: RngStream, size: int | None = None) -> int | np.ndarray:
     """DS variates: Poisson(delta - alpha gamma) plus the core law's jumps each.
 
@@ -551,6 +551,8 @@ def thin(x: int | np.ndarray, a: float, rng: RngStream) -> int | np.ndarray:
 
 def _thin_array(x: np.ndarray, a: float, rng: RngStream) -> np.ndarray:
     if x.dtype != object:
+        if x.dtype.kind == "f" and not np.isfinite(x).all():
+            raise DomainError(f"cannot thin a non-finite count, got {x[~np.isfinite(x)][0]}")
         x = x.astype(np.int64, copy=False)
     if not x.size:
         return x.copy()

@@ -25,7 +25,6 @@ from dstable import (
     mode_scan,
     moments,
     sample_bsib,
-    sample_ds,
     selfdecomp_remainder,
     stability_experiment,
     stability_mu,
@@ -33,7 +32,7 @@ from dstable import (
 )
 from dstable.errors import NotSelfDecomposableAtRho, TailBoundUnreachable
 from dstable.pmf import bsib_pmf_array
-from dstable.sampler import pool_counts, tv_against_table
+from dstable.sampler import _draws, pool_counts, tv_against_table
 
 import oracles
 from conftest import PARAM_GRID
@@ -195,10 +194,8 @@ def test_criterion_8_sampler_fidelity():
         p = DSParams(alpha, gamma, delta)
         if p.gamma == 0.0 and p.delta == 0.0:
             continue
-        rng = RngStream(5000 + i)
-        values = np.fromiter(
-            (sample_ds(p, rng) for _ in range(n)), dtype=np.int64, count=n
-        )
+        # the stream of n scalar sample_ds calls (test_sampler's TestDrawLoop)
+        values = np.array(_draws(p, RngStream(5000 + i), n), dtype=np.int64)
         table = quiet_table(p, n_max=2000, tail_bound=1e-9)
         _, chi2, _, dof = tv_against_table(values, table, n)
         pvalue = oracles.chi2_pvalue(chi2, dof)

@@ -826,6 +826,8 @@ class TestExitContractProperty:
 
     @CONTRACT
     @given(law_flags(), st.integers(1, 50), st.integers(0, 2**32 - 1))
+    # the Poisson rate delta - alpha gamma overflows
+    @example(["--alpha=0.5", "--gamma=-1.7e308", "--delta=1.7e308"], 1, 0)
     def test_sample(self, flags, n, seed):
         argv = ["sample", *flags, "--n", str(n), "--seed", str(seed), "--format", "json"]
         code, out = exit_and_stdout(*argv)

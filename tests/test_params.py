@@ -357,3 +357,23 @@ def test_non_finite_count_raises_a_domain_error(name, bad):
     # int() refuses these with a ValueError or an OverflowError
     with pytest.raises(DomainError, match="nan|inf"):
         COUNT_CALLS[name](bad)
+
+
+# each call passes its one argument where a tolerance, a count array or a seed goes
+VALUE_CALLS = {
+    "mode_scan": lambda v: dstable.mode_scan(dstable.ds_pmf(_P, 50, 1e-3), plateau_tol=v),
+    "thin": lambda v: dstable.thin(np.array([v]), 0.5, dstable.RngStream(1)),
+    "RngStream": dstable.RngStream,
+}
+
+
+@pytest.mark.parametrize(
+    "name,bad",
+    [("mode_scan", math.nan), ("mode_scan", -1.0), ("thin", math.nan), ("thin", math.inf),
+     ("thin", -math.inf), ("RngStream", math.nan), ("RngStream", math.inf)],
+)
+def test_value_out_of_domain_raises_a_domain_error_that_names_it(name, bad):
+    # a NaN tolerance found no modes; a NaN count was cast to int64's least
+    # value; int() refused a NaN seed with a ValueError or an OverflowError
+    with pytest.raises(DomainError, match=f"got {bad!r}$"):
+        VALUE_CALLS[name](bad)

@@ -50,6 +50,11 @@ import oracles
 from conftest import PARAM_GRID
 
 
+def split_rates(raw, cap):
+    """The jump rates of DS(*raw) below cap, from the split that _ds_pmf takes off alpha = 2."""
+    return pmf_module._Rates(raw[0], *pmf_module._split_rates(*raw), cap)
+
+
 def make_table(p, n_max=400, tail_bound=1e-12):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TailBoundUnreachable)
@@ -235,10 +240,15 @@ class TestDsPmfRecursion:
             expected = oracles.hermite_pmf(a1, a2, n)
             assert mass == pytest.approx(expected, rel=1e-12, abs=1e-280)
 
-    def test_rho_past_double_resolution_is_named(self):
-        # delta/gamma = 1e16: delta - gamma rounds to delta, so rho would be 1
-        with pytest.raises(DomainError, match="double resolution"):
-            ds_pmf(DSParams(1.5, 1.0, 1e16), n_max=10)
+    @pytest.mark.parametrize("raw", [(1.5, 1e-17, 1.0), (0.5, -1e-17, 1.0)])
+    def test_past_double_resolution_near_poisson(self, raw):
+        # delta/|gamma| = 1e17: delta - gamma rounds to delta, so no rho resolves
+        # the jump law, but the split rates do. The head is Poisson(1)'s; past
+        # n ~ 8 the core's n^(-1-alpha) tail rightly takes over
+        masses = make_table(DSParams(*raw), n_max=6).masses
+        want = stats.poisson.pmf(np.arange(7), 1.0)
+        assert masses.size == 7
+        assert np.max(np.abs(masses / want - 1.0)) <= 1e-14
 
     def test_strict_sibuya_mass_at_zero(self):
         table = make_table(DSParams(0.5, -1.0, 0.0), n_max=50)
@@ -478,7 +488,7 @@ class TestBlockLeaves:
     def test_inverse_digits_independent_of_batch(self):
         # a table's batches end at n_max's leaf, and its last leaf may build only
         # the top-left block its entries need: neither may move a digit
-        toeplitz = pmf_module._Rates(ds_to_compound(DSParams(1.3, 1.0, 2.0)), 2048).weights[_LAGS]
+        toeplitz = split_rates((1.3, 1.0, 2.0), 2048).weights[_LAGS]
         batch = pmf_module._leaf_inverses(toeplitz, 16, 16, 10**4)
         for k in (0, 5, 15):
             alone = pmf_module._leaf_inverses(toeplitz, 16 + k, 1, 10**4)[0]
@@ -619,7 +629,7 @@ class TestBareSpans:
         assert np.max(np.abs(got - clean) / clean) <= 1e-13
 
     def test_leaf_zero_inverse_is_nonnegative_and_exact(self):
-        weights = pmf_module._Rates(ds_to_compound(DSParams(0.5, -1.0, 0.0)), 64).weights
+        weights = split_rates((0.5, -1.0, 0.0), 64).weights
         inverse = pmf_module._leaf_inverses(weights[_LAGS], 0, 2, 10**4)[0]
         lags = np.subtract.outer(np.arange(_LEAF), np.arange(_LEAF))
         rates = np.where(lags > 0, weights[np.abs(lags)], 0.0)
@@ -672,12 +682,13 @@ class TestTableState:
 
     @pytest.mark.parametrize("raw", PARAM_GRID + HEAVY_TAILS)
     def test_grown_rates_equal_rates_from_scratch(self, raw):
-        c = ds_to_compound(DSParams(*raw))
-        rates = pmf_module._Rates(c, _LEAF)
+        alpha = raw[0]
+        rate, core_rate = pmf_module._split_rates(*raw)
+        rates = split_rates(raw, _LEAF)
         for size in (1 << bits for bits in range(6, 17)):
             # the rates as computed anew at each size before they grew in place
-            scratch = c.lam * np.arange(size, dtype=np.float64)
-            scratch *= bsib_pmf_array(c.summand, size - 1)
+            core = -core_rate * alpha * pmf_module._neg_survival(alpha, size - 2)
+            scratch = np.concatenate(([0.0, rate], core))
             assert rates.grow(size).tobytes() == scratch.tobytes(), size
 
     @pytest.mark.parametrize("raw", PARAM_GRID + HEAVY_TAILS)
@@ -793,9 +804,10 @@ PROPERTY_RATES = st.one_of(
     st.floats(min_value=700.0, max_value=6000.0),
 )
 
-# the core's share of the rate, down to 1e-12 (the ratio delta/|gamma| that
-# ds_to_compound resolves ends near 1e16); gamma = 0 only at alpha = 1
-SHARES = st.floats(min_value=-12.0, max_value=0.0).map(lambda e: 10.0**e)
+# the core's share of the rate, down to 1e-20: past delta/|gamma| ~ 1e16
+# no rho resolves the jump law, but the split rates do (only Hermite laws,
+# whose rates go through rho, raise there); gamma = 0 only at alpha = 1
+SHARES = st.floats(min_value=-20.0, max_value=0.0).map(lambda e: 10.0**e)
 
 
 @st.composite

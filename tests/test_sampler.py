@@ -28,7 +28,7 @@ from dstable import (
     translate_params,
 )
 from dstable.errors import DomainError, TailBoundUnreachable
-from dstable.pmf import _TABLE_CAP, _log_survival, bsib_pmf_array
+from dstable.pmf import _TABLE_CAP, _log_survival, _split_rates, bsib_pmf_array
 from dstable.sampler import (
     _JUMP_BATCH,
     _JUMP_BUDGET,
@@ -42,7 +42,6 @@ from dstable.sampler import (
     _core_table,
     _draws,
     _reference_table,
-    _split_rates,
     _support_cut,
     pool_counts,
     tv_against_table,
@@ -191,6 +190,18 @@ class TestSampleDS:
     def test_outputs_nonnegative(self, grid_params):
         rng = RngStream(9)
         assert all(sample_ds(grid_params, rng) >= 0 for _ in range(300))
+
+    def test_poisson_rate_past_the_float_range_is_named(self):
+        # delta - alpha gamma = 1.7e308 + 0.85e308 has no double
+        p = DSParams(0.5, -1.7e308, 1.7e308)
+        draws = [
+            lambda rng: sample_ds(p, rng),
+            lambda rng: sample_ds(p, rng, size=3),
+            lambda rng: _draws(p, rng, 3),
+        ]
+        for draw in draws:
+            with pytest.raises(DomainError, match="delta - alpha gamma"):
+                draw(RngStream(10))
 
 
 def _reference_tail_quantile(alpha: float, rho: float, target: float) -> int:
