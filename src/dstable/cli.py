@@ -67,8 +67,6 @@ def _json_render(obj) -> str:
     if isinstance(obj, dict):
         items = ", ".join(f"{json.dumps(k)}: {_json_render(v)}" for k, v in obj.items())
         return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_render(v) for v in obj) + "]"
     raise TypeError(f"cannot render {type(obj)!r}")
 
 
@@ -114,12 +112,7 @@ def _flatten(report: dict, prefix: str = ""):
         name = f"{prefix}{key}"
         if isinstance(value, dict):
             yield from _flatten(value, f"{name}_")
-        elif value is None:
-            continue
-        elif isinstance(value, (list, tuple)):
-            for i, v in enumerate(value):
-                yield f"{name}_{i}", v
-        else:
+        elif value is not None:
             yield name, value
 
 

@@ -9,8 +9,7 @@ inverse, and check each span's running sum once: spans of 512 entries while
 f(0) does not underflow, else of one leaf. The recursion's jump rates come
 from the split that the sampler draws from (:func:`_split_rates`): unit
 jumps at the Poisson rate delta - alpha gamma, and k alpha S(k-1) at the
-core rate for k >= 2, with no rho in between. Only Hermite laws (alpha = 2)
-take theirs through rho, whose digits their masses keep. Also provides the
+core rate for k >= 2, with no rho in between. Also provides the
 bSib masses w alpha S(n-1)/n from the Sibuya core's survival S (a table up
 to 2^16, its closed form past it; the sampler draws from the same),
 CDF/quantile lookups on computed tables, exact moments, the
@@ -40,7 +39,6 @@ from .params import (
     DSParams,
     _compound_rate,
     _require_count,
-    ds_to_compound,
 )
 
 __all__ = [
@@ -466,8 +464,7 @@ def ds_pmf(
     are the split's (see _split_rates): w_1 = delta - alpha gamma and
     w_k = R alpha S(k-1) from k = 2 on, R the core rate and S the Sibuya
     core's survival, with no rho in between, so laws past delta/|gamma| ~
-    1e16 have masses too. Hermite laws (alpha = 2) alone take theirs
-    through rho, so that their masses keep the direct recursion's digits.
+    1e16 have masses too.
     The sum is an online convolution, evaluated by relaxed multiplication in O(n log^2 n): block
     pushes carry the terms between leaves of _LEAF entries (see _push).
     Within a leaf at L the masses solve (diag(L+j) - W) f = pending sums, W
@@ -507,10 +504,7 @@ def _ds_pmf(p: DSParams, n_max: int, tail_bound: float) -> PmfTable:
     warning filters, which is not thread-safe.
 
     The rates are the split (rate, core_rate) of _split_rates, and f(0) =
-    e^-lam for the compound rate lam, as ds_to_compound forms it. Hermite
-    laws take rate = lam (1 - w) and core_rate = lam w through rho instead:
-    those are bit-equal to lam k p_k, so their masses keep the digits of the
-    direct recursion over lam k p_k, which the split's would not.
+    e^-lam for the compound rate lam, as ds_to_compound forms it.
     """
     n_max = _require_count(n_max, "n_max must be >= 0, got {}")
     tail_bound = float(tail_bound)
@@ -520,16 +514,8 @@ def _ds_pmf(p: DSParams, n_max: int, tail_bound: float) -> PmfTable:
     if p.gamma == 0.0 and p.delta == 0.0:
         return PmfTable(np.array([1.0]), tag, tail_bound)
 
-    if p.alpha == 2.0:
-        # the split rates move some Hermite masses in the last bit; at
-        # DS(2, 0.5, 4) the running sum then reaches exactly 1, so that a table
-        # at tail_bound 0 stops at 36 entries instead of running to n_max
-        c = ds_to_compound(p)
-        lam, w = c.lam, _core_weight(2.0, c.summand.rho)
-        rate, core_rate = lam * max(1.0 - w, 0.0), lam * w
-    else:
-        lam = _compound_rate(p)  # f(0) = e^-lam, as CompoundRep.lam
-        rate, core_rate = _split_rates(p.alpha, p.gamma, p.delta)
+    lam = _compound_rate(p)  # f(0) = e^-lam, as CompoundRep.lam
+    rate, core_rate = _split_rates(p.alpha, p.gamma, p.delta)
     target = 1.0 - tail_bound
     # Pr(X <= n) <= Pr(at most n jumps) <= e^-lam (e lam / n)^n for n < lam
     if n_max < lam and n_max * (1.0 + math.log(lam / max(n_max, 1))) - lam < _LOG_NO_MASS:
@@ -565,8 +551,8 @@ def _recursion(lam: float, rates: _Rates, n_max: int, target: float, blocks: boo
     # it, else it waits for the first push (0 until then)
     support = _support(weights) if blocks else 0
     # a leaf's second entry adds its pending sum (the older terms) first and
-    # w1 f(n-1) last, in the order of the direct dot product, so Hermite
-    # masses keep its digits
+    # w1 f(n-1) last, in the order of the direct dot product: finite-support
+    # laws keep the direct dot product's digits
     second = np.array((1.0, weights[1]))
     spectra: dict[int, np.ndarray] = {}
     ldexp = math.ldexp

@@ -526,7 +526,9 @@ def _jump_sums(counts: np.ndarray, table: _CoreTable, gen: Generator) -> np.ndar
 def thin(x: int | np.ndarray, a: float, rng: RngStream) -> int | np.ndarray:
     """Binomial thinning a o x: keep each of x unit counts with probability a.
 
-    x is one count, or an array of counts (int64, or object holding ints).
+    x is one count, or an array of counts: int64, or object holding ints.
+    A float or unsigned array with a count past int64 is thinned through
+    exact ints, each truncated by int() as a scalar count is.
     Counts up to 1e17 are thinned exactly by numpy's binomial. Larger
     counts take the normal limit N(xa, xa(1-a)), rounded and clipped to
     [0, x], whose error is O((xa(1-a))^-1/2) in total variation; it is
@@ -553,7 +555,10 @@ def _thin_array(x: np.ndarray, a: float, rng: RngStream) -> np.ndarray:
     if x.dtype != object:
         if x.dtype.kind == "f" and not np.isfinite(x).all():
             raise DomainError(f"cannot thin a non-finite count, got {x[~np.isfinite(x)][0]}")
-        x = x.astype(np.int64, copy=False)
+        if x.dtype.kind in "fu" and x.size and int(abs(x).max()) > np.iinfo(np.int64).max:
+            x = np.array([int(v) for v in x.tolist()], dtype=object)
+        else:
+            x = x.astype(np.int64, copy=False)
     if not x.size:
         return x.copy()
     if x.min() < 0:
@@ -672,7 +677,7 @@ def _reference_table(target: DSParams, n_samples: int) -> PmfTable:
 
 def tv_against_table(
     values: np.ndarray, table: PmfTable, n_samples: int
-) -> tuple[float, float, int]:
+) -> tuple[float, float, int, int]:
     """Total variation and Pearson statistic of samples against a PMF table.
 
     Bins are the individual support points 0..N plus one pooled tail bin,

@@ -13,8 +13,8 @@ from fractions import Fraction
 import numpy as np
 from scipy import stats
 
-from dstable.params import DSParams, ds_to_compound
-from dstable.pmf import ModeReport, PmfTable, bsib_pmf_array
+from dstable.params import DSParams
+from dstable.pmf import ModeReport, PmfTable
 
 
 def poisson_pmf(lam: float, n: int) -> float:
@@ -58,15 +58,33 @@ def chi2_pvalue(stat: float, dof: int) -> float:
     return float(stats.chi2.sf(stat, dof))
 
 
+def split_weights(p: DSParams, size: int, dtype=np.float64) -> np.ndarray:
+    """Jump rates w_0..w_{size-1} of DS(*p) over the rate split, in dtype.
+
+    w_1 = delta - alpha gamma (the unit jumps) and w_k = R alpha S(k-1) for
+    k >= 2, with R the core rate (alpha - 1) gamma, or gamma at alpha = 1,
+    and S(k) = prod_{j=2..k} (1 - alpha/j) the Sibuya core's survival.
+    """
+    alpha, gamma, delta = (dtype(v) for v in (p.alpha, p.gamma, p.delta))
+    core = gamma if p.alpha == 1.0 else (alpha - 1) * gamma
+    weights = np.zeros(size, dtype=dtype)
+    if size > 1:
+        weights[1] = delta - alpha * gamma
+    if size > 2:
+        factors = np.concatenate(([dtype(1)], 1 - alpha / np.arange(2, size - 1, dtype=dtype)))
+        weights[2:] = core * alpha * np.cumprod(factors)
+    return weights
+
+
 def direct_ds_pmf(p: DSParams, n_max: int, tail_bound: float) -> np.ndarray:
     """DS masses by the direct compound recursion, one full dot product per entry.
 
-    The same stopping rule, rescaling and dust clearing as ``ds_pmf``.
+    The rates are the split's (see ``split_weights``). The same stopping
+    rule, rescaling and dust clearing as ``ds_pmf``.
     """
     if p.gamma == 0.0 and p.delta == 0.0:
         return np.array([1.0])
-    c = ds_to_compound(p)
-    lam = c.lam
+    lam = p.delta if p.alpha == 1.0 else p.delta - p.gamma  # f(0) = e^-lam
     target = 1.0 - tail_bound
 
     if lam < 700.0:
@@ -77,8 +95,7 @@ def direct_ds_pmf(p: DSParams, n_max: int, tail_bound: float) -> np.ndarray:
         scaled0 = 2.0 ** (t - exp2)
 
     cap = min(n_max, 1024) + 1
-    jump = bsib_pmf_array(c.summand, cap - 1)
-    weights = lam * np.arange(cap, dtype=np.float64) * jump
+    weights = split_weights(p, cap)
     scaled = np.zeros(cap)
     scaled[0] = scaled0
     cum = [math.ldexp(scaled0, exp2)]
@@ -88,8 +105,7 @@ def direct_ds_pmf(p: DSParams, n_max: int, tail_bound: float) -> np.ndarray:
         n += 1
         if n >= cap:
             cap = min(n_max, 2 * (cap - 1)) + 1
-            jump = bsib_pmf_array(c.summand, cap - 1)
-            weights = lam * np.arange(cap, dtype=np.float64) * jump
+            weights = split_weights(p, cap)
             grown = np.zeros(cap)
             grown[:n] = scaled[:n]
             scaled = grown
@@ -142,21 +158,15 @@ def loop_mode_scan(table: PmfTable, plateau_tol: float = 1e-12) -> ModeReport:
 def longdouble_ds_pmf(p: DSParams, n_max: int) -> np.ndarray:
     """DS masses f(0..n_max) by the direct compound recursion in long double.
 
-    The rates lam k p_k come from the law's double parameters but are
-    computed, like every sum, in long double; there is no stopping rule.
-    Only more precise than ``direct_ds_pmf`` where long double is wider than
-    double.
+    The split rates (see ``split_weights``) come from the law's double
+    parameters but are computed, like every sum, in long double; there is no
+    stopping rule. Only more precise than ``direct_ds_pmf`` where long double
+    is wider than double.
     """
-    c = ds_to_compound(p)
     ld = np.longdouble
-    alpha, rho, lam = ld(c.summand.alpha), ld(c.summand.rho), ld(c.lam)
-    w = rho if c.summand.alpha == 1.0 else (1 - rho) * (1 - alpha)
-    # S(1..n_max-1), S(k) = prod_{j=2..k} (1 - alpha/j); k p_k = w alpha S(k-1) from k = 2 on
-    factors = np.concatenate(([ld(1)], 1 - alpha / np.arange(2, n_max, dtype=ld)))
-    weights = np.zeros(n_max + 1, dtype=ld)
-    weights[1] = lam * (1 - w)
-    weights[2:] = lam * w * alpha * np.cumprod(factors)
+    weights = split_weights(p, n_max + 1, ld)
     masses = np.zeros(n_max + 1, dtype=ld)
+    lam = ld(p.delta) if p.alpha == 1.0 else ld(p.delta) - ld(p.gamma)
     masses[0] = np.exp(-lam)
     for n in range(1, n_max + 1):
         masses[n] = np.dot(weights[n:0:-1], masses[:n]) / n

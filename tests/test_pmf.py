@@ -36,7 +36,6 @@ from dstable import (
 from dstable import pmf as pmf_module
 from dstable.errors import (
     DomainError,
-    DstableError,
     IndexBeyondTable,
     InternalConsistencyError,
     QuadratureInsufficiency,
@@ -51,7 +50,7 @@ from conftest import PARAM_GRID
 
 
 def split_rates(raw, cap):
-    """The jump rates of DS(*raw) below cap, from the split that _ds_pmf takes off alpha = 2."""
+    """The jump rates of DS(*raw) below cap, from the split that _ds_pmf takes."""
     return pmf_module._Rates(raw[0], *pmf_module._split_rates(*raw), cap)
 
 
@@ -59,6 +58,14 @@ def make_table(p, n_max=400, tail_bound=1e-12):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TailBoundUnreachable)
         return ds_pmf(p, n_max=n_max, tail_bound=tail_bound)
+
+
+# Hermite laws DS(2, gamma, delta), delta - 2 gamma from 0 to 10 gamma
+HERMITE_LAWS = [
+    (2.0, gamma, (2.0 + s) * gamma)
+    for gamma in (0.1, 0.3, 1.0, 3.0, 10.0)
+    for s in (0.0, 0.1, 0.5, 1.0, 3.0, 10.0)
+] + [(2.0, 0.5, 4.0), (2.0, 5.0, 100.0)]
 
 
 class TestBsibPmf:
@@ -240,7 +247,7 @@ class TestDsPmfRecursion:
             expected = oracles.hermite_pmf(a1, a2, n)
             assert mass == pytest.approx(expected, rel=1e-12, abs=1e-280)
 
-    @pytest.mark.parametrize("raw", [(1.5, 1e-17, 1.0), (0.5, -1e-17, 1.0)])
+    @pytest.mark.parametrize("raw", [(1.5, 1e-17, 1.0), (0.5, -1e-17, 1.0), (2.0, 1e-17, 1.0)])
     def test_past_double_resolution_near_poisson(self, raw):
         # delta/|gamma| = 1e17: delta - gamma rounds to delta, so no rho resolves
         # the jump law, but the split rates do. The head is Poisson(1)'s; past
@@ -249,6 +256,23 @@ class TestDsPmfRecursion:
         want = stats.poisson.pmf(np.arange(7), 1.0)
         assert masses.size == 7
         assert np.max(np.abs(masses / want - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("raw", HERMITE_LAWS)
+    def test_hermite_within_5e_15_of_50_digits(self, raw):
+        # Poisson(a1) unit jumps plus Poisson(a2) double jumps, a1 = delta - 2 gamma
+        # and a2 = gamma, by f(n) = (a1 f(n-1) + 2 a2 f(n-2))/n (Kemp & Kemp, 1965).
+        # a1 is the double rate, so that the check reads the recursion's error,
+        # not the rounding of its input (up to ~4e-15 more on these laws)
+        _, gamma, delta = raw
+        got = make_table(DSParams(*raw), n_max=400, tail_bound=0.0).masses
+        with mpmath.workdps(50):
+            a1, a2 = mpmath.mpf(delta - 2.0 * gamma), mpmath.mpf(gamma)
+            want = [mpmath.exp(-a1 - a2), a1 * mpmath.exp(-a1 - a2)]
+            for n in range(2, got.size):
+                want.append((a1 * want[n - 1] + 2 * a2 * want[n - 2]) / n)
+            want = np.array([float(v) for v in want[: got.size]])
+        big = want > 1e-300
+        assert np.max(np.abs(got[big] / want[big] - 1.0)) <= 5e-15
 
     def test_strict_sibuya_mass_at_zero(self):
         table = make_table(DSParams(0.5, -1.0, 0.0), n_max=50)
@@ -760,12 +784,15 @@ class TestWarningFreeCore:
                 assert str(warning.message).endswith(f"at n_max = {n_max}")
 
 
-# max relative error against the long-double recursion up to n = 4000. The
-# first four bounds are the errors measured while the FFT pushes carried every
-# lag, rounded up to one significant figure (8.6e-11, 1.3e-11, 2.9e-12,
-# 4.6e-15); with the lags below 128 split off, the first three measure
-# 1.8e-14, 1.5e-14 and 1.4e-14. The last two are 10x their errors with the
-# split (6.3e-14, 2.1e-14); without it they measured 2.1e-9 and 3.0e-10.
+# max relative error against the long-double recursion up to n = 4000, over
+# masses above 1e-300. The first four bounds are the errors measured while the
+# FFT pushes carried every lag, rounded up to one significant figure (8.6e-11,
+# 1.3e-11, 2.9e-12, 4.6e-15); with the lags below 128 split off, the first
+# three measure 1.8e-14, 1.5e-14 and 1.4e-14. The next two are 10x their
+# errors with the split (6.3e-14, 2.1e-14); without it they measured 2.1e-9
+# and 3.0e-10. The last two, at compound rates 999 and 2000, are 10x their
+# errors against the oracle over the split rates (1.04e-13, 5.2e-14): f(0)
+# underflows in double there, and the leaves are solved one at a time.
 FAR_TAIL_BOUNDS = {
     (1.5, 1.0, 21.0): 9e-11,
     (1.5, 1.0, 3.0): 2e-11,
@@ -773,6 +800,8 @@ FAR_TAIL_BOUNDS = {
     (0.5, -1.0, 0.0): 5e-15,
     (1.9, 0.5, 3.0): 6.3e-13,
     (1.5, 1.0, 100.0): 2.1e-13,
+    (1.5, 1.0, 1000.0): 1.1e-12,
+    (1.5, 1.0, 2001.0): 5.2e-13,
 }
 
 
@@ -785,7 +814,8 @@ def test_far_tail_parity_with_long_double(raw):
     p = DSParams(*raw)
     want = oracles.longdouble_ds_pmf(p, 4000)
     got = make_table(p, n_max=4000, tail_bound=0.0).masses
-    rel = np.abs(got.astype(np.longdouble) - want) / want
+    big = want > 1e-300
+    rel = np.abs(got.astype(np.longdouble)[big] - want[big]) / want[big]
     assert float(rel.max()) <= FAR_TAIL_BOUNDS[raw]
 
 
@@ -805,8 +835,8 @@ PROPERTY_RATES = st.one_of(
 )
 
 # the core's share of the rate, down to 1e-20: past delta/|gamma| ~ 1e16
-# no rho resolves the jump law, but the split rates do (only Hermite laws,
-# whose rates go through rho, raise there); gamma = 0 only at alpha = 1
+# no rho resolves the jump law, but the split rates do; gamma = 0 only at
+# alpha = 1
 SHARES = st.floats(min_value=-20.0, max_value=0.0).map(lambda e: 10.0**e)
 
 
@@ -823,11 +853,8 @@ def compound_rate_laws(draw):
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(compound_rate_laws(), st.integers(0, 1500), st.sampled_from([0.0, 1e-12, 1e-6]))
 def test_ds_pmf_finite_and_a_prefix_of_longer_tables(raw, n_max, tail_bound):
-    # finite masses >= 0 or a named error; a longer table only appends entries
-    try:
-        short = pmf_module._ds_pmf(DSParams(*raw), n_max, tail_bound).masses
-    except DstableError:
-        return
+    # finite masses >= 0 for every law; a longer table only appends entries
+    short = pmf_module._ds_pmf(DSParams(*raw), n_max, tail_bound).masses
     assert np.all(np.isfinite(short)) and np.all(short >= 0.0)
     full = pmf_module._ds_pmf(DSParams(*raw), 2 * n_max + 1, tail_bound).masses
     assert short.size == min(n_max + 1, full.size)

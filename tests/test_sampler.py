@@ -813,6 +813,22 @@ class TestThin:
             thin(x, a, rng)
             assert rng.random() == ref.random()  # the same draws, no more
 
+    @pytest.mark.parametrize("a", [0.0, 0.3, 0.5, 1.0])
+    def test_float_and_unsigned_arrays_past_int64(self, a):
+        # counts past int64 are thinned as exact ints, truncated as int() does,
+        # in the order of the per-count replay above
+        for x in (np.array([0.0, 7.9, 1e17, 9.3e18, 1e30, 2.5]),
+                  np.array([0, 7, 2**63 + 5, 2**64 - 1], dtype=np.uint64)):
+            got = thin(x, a, RngStream(31))
+            ref = RngStream(31)
+            counts = np.array([int(v) for v in x.tolist()], dtype=object)
+            small = counts <= 10**17
+            want = counts.copy()
+            want[small] = ref._gen.binomial(counts[small].astype(np.int64), a)
+            want[~small] = [thin(int(v), a, ref) for v in counts[~small]]
+            assert got.dtype == object
+            assert got.tolist() == want.tolist()
+
     def test_thinning_preserves_family(self):
         # histogram of a o X against the thinned parameter law
         p = DSParams(2.0, 1.0, 3.0)
