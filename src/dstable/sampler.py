@@ -70,7 +70,9 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 
 _TABLE_INIT = 64
-# Sibuya cores (one per alpha) whose survival tables are kept, least recently used first out
+# tables kept per cache, least recently used first out: Sibuya cores' survival
+# tables (one per alpha), and stability_experiment's reference tables (one per
+# law and length, at most 10_001 masses and their sums: 5 MB in all)
 _TABLE_CACHE_SIZE = 32
 # uniforms drawn per pass of the batch sampler; bounds its memory at large lam
 _JUMP_BATCH = 1 << 20
@@ -100,7 +102,7 @@ _TAIL_FAST_LOG = 32.0  # log n clipped here, past log(2^45), for a finite exp
 # goodness-of-fit bins stop where fewer than this many samples are expected
 _MIN_EXPECTED = 5.0
 # stability_experiment's reference table: its longest length and its
-# coverage; self-decomposable laws start short and grow by _REFERENCE_GROWTH.
+# coverage; every law starts short and grows by _REFERENCE_GROWTH.
 # n_max 63 gives 64 entries, one ds_pmf leaf: 64 would build a second leaf
 # inverse for one entry.
 _REFERENCE_N_MAX = 10_000
@@ -563,6 +565,8 @@ def _thin_array(x: np.ndarray, a: float, rng: RngStream) -> np.ndarray:
         return x.copy()
     if x.min() < 0:
         raise DomainError(f"cannot thin a negative count, got {x.min()}")
+    if a == 1.0:
+        return x.copy()  # every count kept, nothing drawn, as the scalar thin
     if x.dtype != object and x.max() <= _BINOMIAL_EXACT_MAX:
         return rng._gen.binomial(x, a)  # every count exact: one call, no masks
     exact = x <= _BINOMIAL_EXACT_MAX
@@ -570,7 +574,7 @@ def _thin_array(x: np.ndarray, a: float, rng: RngStream) -> np.ndarray:
     out[exact] = rng._gen.binomial(x[exact].astype(np.int64), a)
     if a == 0.0:
         out[~exact] = 0
-    elif a < 1.0 and not exact.all():
+    elif not exact.all():
         # thin's normal limit per count, with the normals drawn in one call
         large = [int(v) for v in x[~exact]]
         num, den = a.as_integer_ratio()
@@ -650,28 +654,43 @@ def _support_cut(table: PmfTable, n_samples: int) -> int:
     return min(coverage_cut, int(heavy[-1]))
 
 
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _reference_rung(target: DSParams, n_max: int) -> PmfTable:
+    # the core, not ds_pmf: short and heavy-tailed tables miss 1e-6 by design
+    return _ds_pmf(target, n_max, _REFERENCE_TAIL)
+
+
 def _reference_table(target: DSParams, n_samples: int) -> PmfTable:
     """The PMF table of target that stability_experiment bins, cut short.
 
-    A discretely self-decomposable law (its Levy rates k lam p_k never
-    increase) is unimodal (Steutel & van Harn, 1979). Once one of its masses
-    lies below both an earlier mass and the count threshold of _support_cut,
-    no later mass reaches that threshold, so the table up to there gives the
-    same _support_cut and the same binned masses as the full one. Such laws
-    grow n_max geometrically and stop there or at the coverage bound; other
-    laws take the full table at once.
+    n_max climbs 63, 252, 1008, 4032, 10_000 and stops at the coverage bound
+    or at the first rung past which no mass can expect 5 samples of n_samples,
+    so the table gives the same _support_cut, binned masses and tail bin as
+    the full one. That holds once n_samples times the tail mass is below 5:
+    no later mass exceeds the tail mass. It also holds for a discretely
+    self-decomposable law (its Levy rates k lam p_k never increase), which is
+    unimodal (Steutel & van Harn, 1979), once one of its masses lies below
+    both an earlier mass and 5 expected samples. Both rules stay: on a heavy
+    tail such as DS(0.5, -1, 0)'s the tail rule alone runs to 10_001 entries.
+
+    Each rung comes from a per-process cache of _TABLE_CACHE_SIZE tables
+    keyed by (target, n_max), at most 10_001 read-only masses each, so a law
+    seen before costs one lookup per rung.
     """
-    n_max = _REFERENCE_START if classify(target).self_decomposable else _REFERENCE_N_MAX
+    self_decomposable = classify(target).self_decomposable
     below = (1.0 - _UNIMODAL_MARGIN) * _MIN_EXPECTED
+    n_max = _REFERENCE_START
     while True:
-        # the core, not ds_pmf: short and heavy-tailed tables miss 1e-6 by design
-        table = _ds_pmf(target, n_max, _REFERENCE_TAIL)
+        table = _reference_rung(target, n_max)
         if table.tail_bound_met or n_max == _REFERENCE_N_MAX:
             return table
-        m = table.masses
-        past_mode = m < (1.0 - _UNIMODAL_MARGIN) * np.maximum.accumulate(m)
-        if np.any(past_mode & (n_samples * m < below)):
+        if n_samples * table.tail_mass < below:
             return table
+        if self_decomposable:
+            m = table.masses
+            past_mode = m < (1.0 - _UNIMODAL_MARGIN) * np.maximum.accumulate(m)
+            if np.any(past_mode & (n_samples * m < below)):
+                return table
         n_max = min(_REFERENCE_GROWTH * n_max, _REFERENCE_N_MAX)
 
 
@@ -726,11 +745,14 @@ def stability_experiment(
     PMF of p translated by the closed-form shift (or by mu_override, to
     demonstrate detection of a wrong shift).
 
-    The reference PMF is computed to coverage 1 - 1e-6 or 10_001 entries.
-    When the shifted law is discretely self-decomposable, hence unimodal
-    (Steutel & van Harn, 1979), the table stops once a mass past the mode
-    expects fewer than 5 samples: later masses cannot change the bins, so
-    the result is the one the full table gives.
+    The reference PMF is computed to coverage 1 - 1e-6 or 10_001 entries,
+    but stops at the first of 64, 253, 1009 or 4033 entries where no later
+    mass can expect 5 samples: the tail mass expects fewer, or, for a
+    discretely self-decomposable (hence unimodal; Steutel & van Harn, 1979)
+    shifted law, a mass past the mode does. Later masses cannot change the
+    bins, so the result is the one the full table gives. Each length of a
+    law's table is kept in a per-process cache of _TABLE_CACHE_SIZE tables,
+    so repeated laws skip the PMF recursion.
     """
     rho = float(rho)
     if not 0.0 < rho < 1.0:

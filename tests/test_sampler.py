@@ -7,6 +7,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dstable import (
     BSibParams,
@@ -41,6 +42,7 @@ from dstable.sampler import (
     _CoreTable,
     _core_table,
     _draws,
+    _reference_rung,
     _reference_table,
     _support_cut,
     pool_counts,
@@ -803,10 +805,13 @@ class TestThin:
                   np.array(exact + large + [10**30, 3**100], dtype=object)):
             got = thin(x, a, RngStream(31))
             ref = RngStream(31)
-            small = x <= 10**17
             want = x.copy()
-            want[small] = ref._gen.binomial(x[small].astype(np.int64), a)
-            want[~small] = [thin(int(v), a, ref) for v in x[~small]]
+            if a == 1.0:  # the scalar thin keeps every count and draws nothing
+                want[:] = [thin(int(v), a, ref) for v in x.tolist()]
+            else:
+                small = x <= 10**17
+                want[small] = ref._gen.binomial(x[small].astype(np.int64), a)
+                want[~small] = [thin(int(v), a, ref) for v in x[~small]]
             assert got.dtype == x.dtype
             assert got.tolist() == want.tolist()
             rng = RngStream(31)
@@ -941,18 +946,57 @@ class TestReferenceTable:
         want = [stability_experiment(p, rho, 1000, RngStream(30)) for rho in (0.3, 0.7)]
         assert got == want
 
-    @pytest.mark.parametrize("raw", [(2.0, 1.0, 2.0), (1.5, 1.0, 2.0)], ids=str)
-    def test_not_self_decomposable_gets_full_table(self, raw):
+    @pytest.mark.parametrize("raw", REFERENCE_GRID, ids=str)
+    def test_cached_tables_give_the_same_result(self, raw):
         p = DSParams(*raw)
-        assert not classify(p).self_decomposable
-        for n_samples in (1000, 10**5):
-            table = _reference_table(p, n_samples)
-            assert np.array_equal(table.masses, _full_table(p).masses)
+        for rho in (0.3, 0.7):
+            for n_samples in (1000, 2500, 10**5):
+                _reference_rung.cache_clear()
+                cold = stability_experiment(p, rho, n_samples, RngStream(32))
+                misses = _reference_rung.cache_info().misses
+                warm = stability_experiment(p, rho, n_samples, RngStream(32))
+                assert _reference_rung.cache_info().misses == misses  # every rung a hit
+                assert warm == cold, (rho, n_samples)
 
-    def test_cost_bounded_by_samples(self):
-        # the full table has 10_001 entries; bins end near 27
-        p = DSParams(0.5, -1.0, 0.0)
-        target = translate_params(p, stability_mu(p, 0.5))
+    def test_table_cache_is_bounded(self):
+        _reference_rung.cache_clear()
+        for i in range(100):
+            _reference_table(DSParams(1.5, 1.0, 1.6 + 0.01 * i), 10**5)
+        assert _reference_rung.cache_info().currsize <= _TABLE_CACHE_SIZE
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(
+        st.floats(1.0, 2.0, exclude_min=True),
+        st.floats(0.05, 50.0),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.sampled_from([0.3, 0.5, 0.7]),
+        st.integers(1000, 10**5),
+    )
+    def test_short_table_of_law_not_self_decomposable(self, alpha, gamma, u, rho, n_samples):
+        # delta from alpha gamma up to the boundary alpha^2 gamma: the tail
+        # rule, not unimodality, has to stop the table
+        p = DSParams(alpha, gamma, alpha * gamma * (1.0 + u * (alpha - 1.0)))
+        assume(not classify(p).self_decomposable)
+        target = translate_params(p, stability_mu(p, rho))
+        table, full = _reference_table(target, n_samples), _full_table(target)
+        cut = _support_cut(full, n_samples)
+        assert _support_cut(table, n_samples) == cut
+        assert np.array_equal(table.cdf_values[: cut + 1], full.cdf_values[: cut + 1])
+        got = stability_experiment(p, rho, n_samples, RngStream(33))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("dstable.sampler._reference_table", lambda target, n: _full_table(target))
+            assert got == stability_experiment(p, rho, n_samples, RngStream(33))
+
+    @pytest.mark.parametrize(
+        "raw, rho",
+        # the full tables have 10_001 entries, 4305 at DS(1.5, 1, 1.6)
+        [((0.5, -1.0, 0.0), 0.5), ((1.5, 1.0, 1.6), 0.3), ((1.5, 1.0, 1.6), 0.7),
+         ((1.2, 1.0, 1.3), 0.3), ((1.2, 1.0, 1.3), 0.7)],
+        ids=str,
+    )
+    def test_cost_bounded_by_samples(self, raw, rho):
+        p = DSParams(*raw)
+        target = translate_params(p, stability_mu(p, rho))
         assert len(_reference_table(target, 2500)) <= 256
 
 
