@@ -50,12 +50,15 @@ DEFAULT_Z_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99)
 def _disk_point(z: complex | float) -> tuple[complex | float, type]:
     """A PGF argument on the closed unit disk, and its kind (float or complex).
 
-    Raises DomainError past |z| = 1 + PGF_DISK_TOL. Real z becomes a float,
-    and real dust in (1, 1 + PGF_DISK_TOL] the z = 1 convention. Any other z
-    becomes a builtin complex, so numpy's complex types take the same cmath
-    route as a complex, and give the same digits.
+    Raises DomainError past |z| = 1 + PGF_DISK_TOL, and for a z with a NaN
+    part. Real z becomes a float, and real dust in (1, 1 + PGF_DISK_TOL] the
+    z = 1 convention. Any other z becomes a builtin complex, so numpy's
+    complex types take the same cmath route as a complex, and give the same
+    digits.
     """
-    if abs(z) > 1.0 + PGF_DISK_TOL:
+    if not abs(z) <= 1.0 + PGF_DISK_TOL:
+        if z != z:  # a NaN part; abs(complex(inf, nan)) is inf
+            raise DomainError(f"PGF argument must not have a NaN part, got {z}")
         raise DomainError(f"PGF argument must satisfy |z| <= 1, got |z| = {abs(z)}")
     if isinstance(z, numbers.Real):
         return min(float(z), 1.0), float
@@ -198,8 +201,9 @@ def stability_residual(
     """Max |G(z)e^{mu(z-1)} - G(1-rho(1-z)) G(1-(1-rho^a)^{1/a}(1-z))| on a grid.
 
     mu defaults to the closed form from :func:`stability_mu`; passing an
-    explicit value lets callers probe how the identity degrades under a
-    perturbed shift.
+    explicit finite value lets callers probe how the identity degrades under
+    a perturbed shift. A point whose left side passes the float range reads
+    math.inf.
     """
     if zgrid is None:
         zgrid = DEFAULT_Z_GRID
@@ -210,6 +214,8 @@ def stability_residual(
     if not 0.0 < rho < 1.0:
         raise DomainError(f"rho must lie in (0, 1), got {rho}")
     mu_used = stability_mu(p, rho) if mu is None else float(mu)
+    if not math.isfinite(mu_used):
+        raise DomainError(f"translation shift mu must be finite, got {mu_used}")
     # below alpha ~ 0.1 frac2 can fall under 1e-8, where 1 - frac2 (1-z)
     # rounds to 1: the right side takes the distances from 1 directly. Below
     # alpha ~ 1e-3 frac2 underflows to 0, but frac2^alpha = 1 - rho^alpha does
@@ -223,7 +229,10 @@ def stability_residual(
         try:
             lhs = pgf(p, z) * math.exp(mu_used * (z - 1.0))
         except OverflowError:  # mu far below 0, where G(z) is tiny: add the exponents
-            lhs = math.exp(fcgf(p, z - 1.0) + mu_used * (z - 1.0))
+            try:
+                lhs = math.exp(fcgf(p, z - 1.0) + mu_used * (z - 1.0))
+            except OverflowError:
+                lhs = math.inf
         x = 1.0 - z
         rhs = _pgf_from_one(p, rho * x) * _pgf_from_one(p, frac2 * x, shrink * x**p.alpha)
         worst = max(worst, abs(lhs - rhs))

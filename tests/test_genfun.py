@@ -329,6 +329,12 @@ class TestStability:
         for rho in RHO_GRID:
             assert stability_residual(p, rho).max_residual < 1e-12, rho
 
+    def test_left_side_past_the_float_range_reads_inf(self):
+        # mu = -800: e^{-mu} G(0) = e^{798} passes the float range, where an
+        # OverflowError escaped from the fallback exponent
+        report = stability_residual(DSParams(1.5, 1.0, 3.0), 0.5, mu=-800.0)
+        assert report.max_residual == math.inf
+
     def test_rho_domain_with_explicit_mu(self):
         p = DSParams(2.0, 1.0, 4.0)
         for rho in (0.0, 1.0, -0.5, 3.0):

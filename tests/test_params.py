@@ -1,6 +1,7 @@
 """Validation, conversions, and classification of parameter triples."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -359,21 +360,34 @@ def test_non_finite_count_raises_a_domain_error(name, bad):
         COUNT_CALLS[name](bad)
 
 
-# each call passes its one argument where a tolerance, a count array or a seed goes
+# each call passes its one argument where a tolerance, a count array, a seed,
+# a count, a shift or a PGF argument goes
 VALUE_CALLS = {
     "mode_scan": lambda v: dstable.mode_scan(dstable.ds_pmf(_P, 50, 1e-3), plateau_tol=v),
     "thin": lambda v: dstable.thin(np.array([v]), 0.5, dstable.RngStream(1)),
     "RngStream": dstable.RngStream,
+    "split": lambda v: dstable.RngStream(1).split(v),
+    "translate": lambda v: dstable.translate(v, 1.0, dstable.RngStream(1)),
+    "stability_residual": lambda v: dstable.stability_residual(_P, 0.5, mu=v),
+    "pgf": lambda v: dstable.pgf(_P, v),
+    "bsib_pgf": lambda v: dstable.bsib_pgf(BSibParams(0.5, 0.0), v),
 }
 
 
 @pytest.mark.parametrize(
     "name,bad",
     [("mode_scan", math.nan), ("mode_scan", -1.0), ("thin", math.nan), ("thin", math.inf),
-     ("thin", -math.inf), ("RngStream", math.nan), ("RngStream", math.inf)],
+     ("thin", -math.inf), ("RngStream", math.nan), ("RngStream", math.inf),
+     ("split", -1), ("translate", -3), ("stability_residual", math.nan),
+     ("stability_residual", math.inf), ("stability_residual", -math.inf),
+     ("pgf", math.nan), ("pgf", complex(math.nan, 0.0)), ("pgf", complex(0.5, math.nan)),
+     ("pgf", complex(math.inf, math.nan)), ("bsib_pgf", math.nan)],
 )
 def test_value_out_of_domain_raises_a_domain_error_that_names_it(name, bad):
     # a NaN tolerance found no modes; a NaN count was cast to int64's least
-    # value; int() refused a NaN seed with a ValueError or an OverflowError
-    with pytest.raises(DomainError, match=f"got {bad!r}$"):
+    # value; int() refused a NaN seed with a ValueError or an OverflowError;
+    # split(-1) raised an OverflowError and translate returned x + a Poisson
+    # count for x = -3; a NaN shift read a residual of 0.0 and an infinite
+    # one a finite or infinite residual; a NaN PGF argument returned NaN
+    with pytest.raises(DomainError, match=re.escape(f"got {bad!r}") + "$"):
         VALUE_CALLS[name](bad)

@@ -1,5 +1,6 @@
 """PMF evaluation: closed forms, the compound recursion, and the inversion oracle."""
 
+import json
 import math
 import subprocess
 import sys
@@ -869,6 +870,43 @@ def test_library_does_not_import_scipy():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# each request, and whether numpy.random is loaded after it and all before it
+_LOAD_CODE = """
+import contextlib, io, json, sys
+import numpy
+eager = "numpy.random" in sys.modules
+import dstable, dstable.cli
+law = ["--alpha", "1.5", "--gamma", "1", "--delta", "3"]
+requests = [
+    ["pmf", *law, "--nmax", "50", "--tail-bound", "0.01"],
+    ["cdf", *law, "--nmax", "50", "--tail-bound", "0.01"],
+    ["check", *law],
+    ["convert", "--from", "ds", "--to", "compound", *law],
+    ["plot-data", "--nmax", "20"],
+    ["sample", *law, "--n", "5", "--seed", "1"],
+]
+seen = [["import", 0, "numpy.random" in sys.modules]]
+for argv in requests:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = dstable.cli.main(argv)
+    seen.append([argv[0], code, "numpy.random" in sys.modules])
+print(json.dumps({"eager": eager, "seen": seen}))
+"""
+
+
+def test_only_a_draw_loads_numpy_random():
+    # numpy.random costs every process that loads it ~6 MB RSS and ~9 ms: the
+    # first RngStream loads it, so a request that draws nothing never does
+    out = subprocess.run([sys.executable, "-c", _LOAD_CODE], capture_output=True, text=True, check=True)
+    report = json.loads(out.stdout)
+    if report["eager"]:
+        pytest.skip("this numpy loads numpy.random at import")
+    assert report["seen"] == [
+        ["import", 0, False], ["pmf", 0, False], ["cdf", 0, False], ["check", 0, False],
+        ["convert", 0, False], ["plot-data", 0, False], ["sample", 0, True],
+    ]
 
 
 class TestInversionOracle:

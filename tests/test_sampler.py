@@ -72,6 +72,11 @@ class TestRngStream:
         assert seqs1 == seqs2
         assert seqs1[0] != seqs1[1] != seqs1[2]
 
+    def test_split_truncates_a_float_count(self):
+        # a count goes through int(), as every count of the library does
+        kids = RngStream(9).split(2.5)
+        assert [k.spawn_key for k in kids] == [k.spawn_key for k in RngStream(9).split(2)]
+
     def test_negative_seed_masked(self):
         assert RngStream(-1).seed == (1 << 64) - 1
 
