@@ -4,9 +4,10 @@ Two independent routes to the DS PMF: the compound-Poisson mass recursion
 (:func:`ds_pmf`) and coefficient extraction of the PGF on a circle
 (:func:`ds_pmf_inversion`). Their agreement is the package's core numerical
 check. The recursion runs in leaves of 64 masses; laws of unbounded
-support solve spans of them by one product per leaf with a nonnegative leaf
-inverse, and check each span's running sum once: spans of 512 entries while
-f(0) does not underflow, else of one leaf. The recursion's jump rates come
+support solve spans of 512 entries by one product per leaf with a
+nonnegative leaf inverse, and add each span's running sum once, at every
+rate: where f(0) underflows, a leaf past 2^512 rescales the shared exponent
+between a span's leaves. The recursion's jump rates come
 from the split that the sampler draws from (:func:`_split_rates`): unit
 jumps at the Poisson rate delta - alpha gamma, and k alpha S(k-1) at the
 core rate for k >= 2, with no rho in between. Also provides the
@@ -79,15 +80,15 @@ _LEAF = 64
 # _leaf_inverses), built this many leaves at a time, from leaf 0 on, into
 # one array per table (~0.5 MB; see _batch).
 _BATCH = 16
-# While the shared exponent is 0, spans of this many entries, aligned to its
-# multiples, are solved at once and checked once (see _solve_span). On the
+# Spans of this many entries, aligned to its multiples, are solved at once
+# and their running sum added once (see _solve_span), at every rate. On the
 # tables mix, 512 measured ~7% faster than 256 and ~15% faster than 64 or
 # 128, and 1024 no faster. At most 1024, so that a span never outgrows the
 # scaled array.
 _SPAN = 512
 # |j - i| over a leaf's entries, to index the rates' Toeplitz matrix
 _LAGS = np.abs(np.subtract.outer(np.arange(_LEAF), np.arange(_LEAF)))
-# Pushes from blocks at least this long use the FFT, shorter ones np.convolve.
+# Pushes from blocks at least this long use the FFT, shorter ones a direct product.
 _FFT_MIN = 512
 # An FFT push adds the rates of lags below this by a direct product. The
 # far-tail error to n = 4000 (DS(1.5, 1, 21), against long double) was 7.5e-11
@@ -269,20 +270,46 @@ class _Rates:
         return self.weights
 
 
+class _FftWork:
+    """One table's FFT pushes: the rates' spectra by block length, and buffers.
+
+    spectra[h] is the spectrum of the rates below 2h with the lags below
+    _NEAR_LAGS cut out. Every push writes its transforms into the two
+    buffers, or into their prefix views for a block shorter than the
+    longest so far, so that a table allocates them once per length it
+    reaches rather than once per push.
+    """
+
+    __slots__ = ("spectra", "real", "spectrum")
+
+    def __init__(self) -> None:
+        self.spectra: dict[int, np.ndarray] = {}
+        self.real = np.empty(0)
+        self.spectrum = np.empty(0, dtype=complex)
+
+    def buffers(self, h: int) -> tuple[np.ndarray, np.ndarray]:
+        """A real buffer of 2h entries and a complex one of h + 1."""
+        if self.real.size < 2 * h:
+            self.real = np.empty(2 * h)
+            self.spectrum = np.empty(h + 1, dtype=complex)
+        return self.real[: 2 * h], self.spectrum[: h + 1]
+
+
 def _push(
     scaled: np.ndarray,
     weights: np.ndarray,
     support: int,
     e: int,
     h: int,
-    spectra: dict[int, np.ndarray],
+    work: _FftWork,
 ) -> None:
     """Add the block f(e-h .. e-1)'s share of f(e .. e+h-1) to the pending sums.
 
     With h the lowest set bit of e, every pair of entries i < n in different
     leaves falls in exactly one such push. Rates past ``support`` are zero, so
     a finite-support law pushes a short block into few entries, and a law
-    whose rates are all 0 pushes nothing.
+    whose rates are all 0 pushes nothing. The direct products are
+    np.convolve's own call, np.correlate on the reversed block.
     """
     top = min(e + h, scaled.size, e + support - 1)
     if top <= e:  # no rates: every jump mass underflowed (alpha near 0)
@@ -294,19 +321,21 @@ def _push(
         # lags below _NEAR_LAGS, which hold w_1 (the unit jumps), are cut from
         # its spectrum and added by a direct product over the block's last entries.
         size = 2 * h
-        spectrum = spectra.get(h)
+        spectrum = work.spectra.get(h)
         if spectrum is None:
             far = weights[:size].copy()
             far[:_NEAR_LAGS] = 0.0
-            spectrum = spectra[h] = np.fft.rfft(far, size)
-        block = np.fft.rfft(scaled[e - h : e], size)
-        sums = np.fft.irfft(block * spectrum, size)[h : h + top - e]
+            spectrum = work.spectra[h] = np.fft.rfft(far, size)
+        real, product = work.buffers(h)
+        np.fft.rfft(scaled[e - h : e], size, out=product)
+        np.multiply(product, spectrum, out=product)
+        sums = np.fft.irfft(product, size, out=real)[h : h + top - e]
         k = _NEAR_LAGS - 1
-        near = np.convolve(weights[1:_NEAR_LAGS], scaled[e - k : e])[k - 1 :]
+        near = np.correlate(weights[1:_NEAR_LAGS], scaled[e - k : e][::-1], "full")[k - 1 :]
         sums[:k] += near[: sums.size]
         scaled[e:top] += sums
     else:
-        scaled[e:top] += np.convolve(weights[1 : top - lo], scaled[lo:e], "valid")
+        scaled[e:top] += np.correlate(weights[1 : top - lo], scaled[lo:e][::-1], "valid")
 
 
 def _batch(index: int, last: int) -> tuple[int, int]:
@@ -400,7 +429,7 @@ def _support(weights: np.ndarray) -> int:
 def _solve_span(
     scaled: np.ndarray,
     weights: np.ndarray,
-    spectra: dict[int, np.ndarray],
+    work: _FftWork,
     inverses: _Inverses,
     start: int,
     end: int,
@@ -413,43 +442,63 @@ def _solve_span(
 
     The pushes between the span's leaves (h below the span) write only inside
     it. One running sum of the masses, seeded with cum and added in the
-    loop's order, gives the stop index. Takes the entries up to it, short of
-    the first value that is not finite, and then no more than the span's
-    first leaf: the pushes inside the span fed its later leaves, and the
-    loop, which computes the entries not taken, does not redo them. Those
-    entries get back the pending sums saved at the call, so that no
-    non-finite value reaches a later push. The buffer is rescaled once, after
-    the solve, so a span is one leaf unless exp2 is 0 (the values are the
-    masses, at most 1). Entry j's value reads only pending sums 0..j, so it
-    does not depend on where the table ends. Returns the last entry taken,
-    and cum and exp2 after it.
+    loop's order, gives the stop index; it is added at the span's end. While
+    exp2 is nonzero the solve also makes a one-leaf span's checks after each
+    leaf, so that every mass keeps its digits: a leaf whose values pass 2^512
+    or are not finite adds the sum up to it, at its exponent, and then
+    rescales the buffer unless the stop comes first. The solve takes the
+    entries up to the stop, short of the first value that is not finite.
+    While exp2 is nonzero, that value's leaf keeps its finite prefix and the
+    rest its pending sums, and no push has passed it. A leaf's first value is
+    its first pending sum over L, finite while the pushed blocks stay below
+    2^512, so a leaf after the span's first gives at least one entry, and
+    the loop resumes inside it without redoing its push. While exp2 is 0 the
+    sum finds such a value at the span's end, and the solve takes no more
+    than the span's first leaf: the pushes inside the span fed its later
+    leaves, and the loop, which computes the entries not taken, does not redo
+    them. Those entries get back the pending sums saved at the call, so that
+    no non-finite value reaches a later push. Entry j's value reads only
+    pending sums 0..j, so it does not depend on where the table ends. Returns
+    the last entry taken, and cum and exp2 after it.
     """
     first = start - start % _LEAF  # start is 1 in leaf 0, whose entry 0 is given
+    mark = start  # the running sum holds the entries before mark
     saved = scaled[first:end].copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for leaf in range(first, end, _LEAF):
-            if leaf > first:
-                _push(scaled, weights, support, leaf, leaf & -leaf, spectra)
-            pending = scaled[leaf : leaf + _LEAF]
-            if pending.size < _LEAF:  # the last leaf, cut by n_max
-                pending = np.concatenate((pending, np.zeros(_LEAF - pending.size)))
-            lo, top = max(leaf, start), min(leaf + _LEAF, end)
-            values = inverses.leaf(leaf // _LEAF).dot(pending)
-            scaled[lo:top] = values[lo - leaf : top - leaf]
-        # running[i] is the sum to entry start - 1 + i; running[0] = cum
-        running = np.ldexp(scaled[start - 1 : end], max(exp2, _LDEXP_MIN_EXP))
+    for leaf in range(first, end, _LEAF):
+        if leaf > first:
+            _push(scaled, weights, support, leaf, leaf & -leaf, work)
+        pending = scaled[leaf : leaf + _LEAF]
+        if pending.size < _LEAF:  # the last leaf, cut by n_max
+            pending = np.concatenate((pending, np.zeros(_LEAF - pending.size)))
+        lo, edge = max(leaf, start), min(leaf + _LEAF, end)
+        values = inverses.leaf(leaf // _LEAF).dot(pending)[lo - leaf : edge - leaf]
+        checked = exp2 and not values.max() <= _RENORM_LIMIT  # nan fails too
+        if checked:
+            finite = np.isfinite(values)
+            if not finite.all():
+                values = values[: int(finite.argmin())]
+        top = lo + values.size
+        scaled[lo:top] = values
+        if top < end and not checked:
+            continue
+        # running[i] is the sum to entry mark - 1 + i; running[0] = cum
+        running = np.ldexp(scaled[mark - 1 : top], max(exp2, _LDEXP_MIN_EXP))
         running[0] = cum
         np.cumsum(running, out=running)
-    last = running.size - 1
-    if not math.isfinite(running[-1]):  # a nan or inf carries to every later sum
-        last = min(int(np.isfinite(running).argmin()) - 1, first + _LEAF - start)
-        scaled[start + last : end] = saved[start + last - first :]
-    if running[last] >= target:  # running[0] = cum is below it
-        last = int(np.argmax(running >= target))
-    if exp2 and last and scaled[start : start + last].max() > _RENORM_LIMIT:
-        scaled *= _RENORM_FACTOR
-        exp2 += 512
-    return start - 1 + last, float(running[last]), exp2
+        last = running.size - 1
+        if not math.isfinite(running[-1]):  # exp2 is 0: a nan or inf carries to every later sum
+            last = min(int(np.isfinite(running).argmin()) - 1, first + _LEAF - start)
+            scaled[start + last : end] = saved[start + last - first :]
+        if running[last] >= target:  # running[0] = cum is below it
+            last = int(np.argmax(running >= target))
+        cum = float(running[last])
+        if exp2 and last and scaled[mark : mark + last].max() > _RENORM_LIMIT:
+            scaled *= _RENORM_FACTOR
+            exp2 += 512
+        if top < edge or top == end or last < running.size - 1 or cum >= target:
+            break
+        mark = top
+    return mark - 1 + last, cum, exp2
 
 
 def ds_pmf(
@@ -472,10 +521,10 @@ def ds_pmf(
     as one product with the leaf's inverse, which is nonnegative: block
     doubling builds it from products of nonnegative blocks, with no
     subtraction (see _leaf_inverses). The running sum, stop index and
-    finite check run once per span (see _solve_span): of _SPAN entries
-    while lam < 700, and of one leaf from lam = 700 on, where a shared
-    power-of-two exponent keeps the recursion alive though f(0) = e^{-lam}
-    underflows, and is raised between leaves. Hermite and Poisson laws, and
+    finite check run once per span of _SPAN entries (see _solve_span), at
+    every rate. From lam = 700 on, a shared power-of-two exponent keeps the
+    recursion alive though f(0) = e^{-lam} underflows; a leaf past 2^512
+    raises it between a span's leaves. Hermite and Poisson laws, and
     any entry the inverse would overflow, take the loop, one dot product
     per entry. A rate so large that every mass up to
     n_max rounds to 0 gives zeros without the recursion. Stops at
@@ -554,48 +603,48 @@ def _recursion(lam: float, rates: _Rates, n_max: int, target: float, blocks: boo
     # w1 f(n-1) last, in the order of the direct dot product: finite-support
     # laws keep the direct dot product's digits
     second = np.array((1.0, weights[1]))
-    spectra: dict[int, np.ndarray] = {}
+    work = _FftWork()
     ldexp = math.ldexp
     inverses = _Inverses(weights, n_max)
 
     n = leaf = 0
     # blocks: spans are solved by their leaf inverses (see _solve_span) from
     # entry 1 and each leaf edge the loop reaches, to the next multiple of
-    # step: _SPAN entries while exp2 is 0, else one leaf, so that every
-    # rescale falls between leaves
-    step = _SPAN if exp2 == 0 else _LEAF
-    while n < n_max and cum < target:
-        n += 1
-        j = n - leaf
-        if j == _LEAF:
-            leaf, j = n, 0
-            h = n & -n
-            if cap <= n_max and n + h > cap:
-                cap = min(n_max, 2 * (cap - 1)) + 1
-                weights = rates.grow(cap)
-                scaled = np.concatenate((scaled, np.zeros(cap - scaled.size)))
-                support = 0
-            if not support:
-                support = _support(weights)
-            _push(scaled, weights, support, n, h, spectra)
-        if blocks and (j == 0 or n == 1):
-            end = min(n - n % step + step, n_max + 1)
-            last, cum, exp2 = _solve_span(
-                scaled, weights, spectra, inverses, n, end, cum, target, exp2, support
-            )
-            if last >= n:
-                n, leaf = last, last - last % _LEAF
-                continue
-        if j == 1 and leaf:
-            value = float(second.dot((scaled[n], scaled[leaf]))) / n
-        else:
-            value = float(weights[j:0:-1].dot(scaled[leaf:n]) + scaled[n]) / n
-        if value > _RENORM_LIMIT:
-            scaled *= _RENORM_FACTOR
-            value *= _RENORM_FACTOR
-            exp2 += 512
-        scaled[n] = value
-        cum += ldexp(value, exp2)
+    # _SPAN. The spans take no value an overflowing inverse gave, so the
+    # warnings of its inf and nan are off, set once for the table.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while n < n_max and cum < target:
+            n += 1
+            j = n - leaf
+            if j == _LEAF:
+                leaf, j = n, 0
+                h = n & -n
+                if cap <= n_max and n + h > cap:
+                    cap = min(n_max, 2 * (cap - 1)) + 1
+                    weights = rates.grow(cap)
+                    scaled = np.concatenate((scaled, np.zeros(cap - scaled.size)))
+                    support = 0
+                if not support:
+                    support = _support(weights)
+                _push(scaled, weights, support, n, h, work)
+            if blocks and (j == 0 or n == 1):
+                end = min(n - n % _SPAN + _SPAN, n_max + 1)
+                last, cum, exp2 = _solve_span(
+                    scaled, weights, work, inverses, n, end, cum, target, exp2, support
+                )
+                if last >= n:
+                    n, leaf = last, last - last % _LEAF
+                    continue
+            if j == 1 and leaf:
+                value = float(second.dot((scaled[n], scaled[leaf]))) / n
+            else:
+                value = float(weights[j:0:-1].dot(scaled[leaf:n]) + scaled[n]) / n
+            if value > _RENORM_LIMIT:
+                scaled *= _RENORM_FACTOR
+                value *= _RENORM_FACTOR
+                exp2 += 512
+            scaled[n] = value
+            cum += ldexp(value, exp2)
 
     masses = np.ldexp(scaled[: n + 1], max(exp2, _LDEXP_MIN_EXP))
     masses[(masses < 0.0) & (masses > -_NEGATIVE_DUST)] = 0.0

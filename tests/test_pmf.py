@@ -557,8 +557,13 @@ class TestBlockLeaves:
         assert scaled.tolist() == before.tolist()
 
 
+# laws past rate 700, with one table length past 2^14 each: at rate 1e5 a
+# single leaf overflows near n = 300, and the table runs to 1.5e5
+LONG_SPANS = {(1.5, 1.0, 1000.0): (20000,), (1.5, 1.0, 1e4): (20000,), (1.5, 1.0, 1e5): (150000,)}
+
+
 class TestBareSpans:
-    """Spans of leaves solved at once while the shared exponent is 0, checked once each."""
+    """Spans of leaves solved at once at every rate, their running sum added once a span."""
 
     @pytest.mark.parametrize("raw", PARAM_GRID + HEAVY_TAILS)
     def test_masses_independent_of_n_max(self, raw):
@@ -585,10 +590,14 @@ class TestBareSpans:
                 got = make_table(p, n_max=n_max, tail_bound=tail_bound)
                 assert len(got) == oracles.direct_ds_pmf(p, n_max, tail_bound).size == stop + 1
 
-    @pytest.mark.parametrize("raw", PARAM_GRID + HEAVY_TAILS + FINITE_SUPPORT)
+    @pytest.mark.parametrize("raw", PARAM_GRID + HEAVY_TAILS + FINITE_SUPPORT + list(LONG_SPANS))
     def test_one_leaf_spans_give_the_same_bits(self, raw, monkeypatch):
+        # past rate 700 the spans add the running sum and rescale between
+        # leaves; tables past 2^14 entries push blocks of up to 2^14 entries
+        # through the FFT buffers
         p = DSParams(*raw)
-        cases = [(n, tail_bound) for n in (40, 300, 3000) for tail_bound in (0.0, 1e-9)]
+        sizes = (40, 300, 3000) + LONG_SPANS.get(raw, ())
+        cases = [(n, tail_bound) for n in sizes for tail_bound in (0.0, 1e-9)]
         default = [make_table(p, n, tail_bound).masses for n, tail_bound in cases]
         monkeypatch.setattr(pmf_module, "_SPAN", _LEAF)
         for (n, tail_bound), want in zip(cases, default):
@@ -653,6 +662,27 @@ class TestBareSpans:
         assert got[: planted_leaf + 10].tolist() == clean[: planted_leaf + 10].tolist()
         assert np.max(np.abs(got - clean) / clean) <= 1e-13
 
+    @pytest.mark.parametrize("planted_leaf", [1, 2, 6, 9])
+    def test_non_finite_value_past_rate_700_gives_one_leaf_bits(self, planted_leaf, monkeypatch):
+        # lam = 999: the first span rescales after its leaves 1 and 5, so an
+        # inf in leaf 2 or 6 comes right after a rescale inside the span; the
+        # solve keeps that leaf's finite prefix, and the loop takes its rest,
+        # as with one-leaf spans
+        build = pmf_module._leaf_inverses
+
+        def planted(toeplitz, first, count, rows, out):
+            inverses = build(toeplitz, first, count, rows, out)
+            if first <= planted_leaf < first + count:
+                inverses[planted_leaf - first][10, 3] = math.inf
+            return inverses
+
+        monkeypatch.setattr(pmf_module, "_leaf_inverses", planted)
+        p = DSParams(1.5, 1.0, 1000.0)
+        spans = make_table(p, n_max=3000, tail_bound=0.0).masses
+        assert np.all(np.isfinite(spans))
+        monkeypatch.setattr(pmf_module, "_SPAN", _LEAF)
+        assert make_table(p, n_max=3000, tail_bound=0.0).masses.tobytes() == spans.tobytes()
+
     def test_leaf_zero_inverse_is_nonnegative_and_exact(self):
         weights = split_rates((0.5, -1.0, 0.0), 64).weights
         inverse = pmf_module._leaf_inverses(weights[_LAGS], 0, 2, 10**4)[0]
@@ -683,7 +713,8 @@ class TestBareSpans:
         assert calls == [1] * (4 * bare)
 
     def test_leaves_0_and_1_by_inverse_past_rate_700(self, monkeypatch):
-        # lam = 999: the shared exponent makes each span one leaf, from entry 1
+        # lam = 999: one span from entry 1, as at every rate, with the shared
+        # exponent's checks between its leaves
         spans = []
         solve = pmf_module._solve_span
 
@@ -695,7 +726,7 @@ class TestBareSpans:
         monkeypatch.setattr(pmf_module, "_solve_span", record)
         p = DSParams(1.5, 1.0, 1000.0)
         got = make_table(p, n_max=130, tail_bound=0.0).masses
-        assert spans == [(1, _LEAF, _LEAF - 1), (_LEAF, 2 * _LEAF, 2 * _LEAF - 1), (128, 131, 130)]
+        assert spans == [(1, 131, 130)]
         want = oracles.direct_ds_pmf(p, 130, 0.0)
         big = want > 1e-300
         assert got.size == want.size and big.sum() > 10
@@ -737,7 +768,7 @@ class TestTableState:
 
     @pytest.mark.parametrize("raw", [(1.3, 1.0, 2.0), (1.5, 1.0, 1000.0)])
     def test_one_toeplitz_and_one_array_per_table(self, raw, monkeypatch):
-        # lam = 999 solves one leaf a span, and lam = 1.5 eight, on the same batches
+        # lam = 999 and lam = 1.5 both solve spans of eight leaves, on the same batches
         builds = []
         build = pmf_module._leaf_inverses
 
@@ -751,6 +782,29 @@ class TestTableState:
         toeplitz, out = builds[0][0], builds[0][3]
         assert all(b[0] is toeplitz and b[3] is out for b in builds)
         assert out.shape == (pmf_module._BATCH, _LEAF, _LEAF)
+
+    def test_fft_push_in_reused_buffers_equals_fresh_arrays(self):
+        # every FFT push of a table writes into one pair of buffers, a smaller
+        # h into their prefix: the sums keep the bytes of fresh arrays
+        weights = split_rates((1.5, 1.0, 1000.0), 1 << 15).weights
+        near = pmf_module._NEAR_LAGS
+        far = weights.copy()
+        far[:near] = 0.0
+        rng = np.random.default_rng(5)
+        work = pmf_module._FftWork()
+        for h in (512, 1024, 2048, 4096, 8192, 16384, 2048, 512):
+            e = h if 4 * h > weights.size else 3 * h  # h is e's lowest set bit
+            scaled = rng.uniform(0.5, 2.0, weights.size)
+            want = scaled.copy()
+            size = 2 * h
+            sums = np.fft.irfft(np.fft.rfft(want[e - h : e], size) * np.fft.rfft(far[:size], size), size)
+            sums = sums[h:]
+            k = near - 1
+            sums[:k] += np.convolve(weights[1:near], want[e - k : e])[k - 1 :]
+            want[e : e + h] += sums
+            pmf_module._push(scaled, weights, weights.size, e, h, work)
+            assert scaled.tobytes() == want.tobytes(), h
+        assert work.real.size == 2 * 16384 and sorted(work.spectra) == [512 << i for i in range(6)]
 
     def test_law_without_rates(self):
         # alpha = 5e-324: every jump mass underflows, so no push has rates to
