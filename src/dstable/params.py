@@ -41,6 +41,8 @@ __all__ = [
 
 # Width of the warning band around alpha = 1 where sec(pi*alpha/2) blows up.
 NEAR_ALPHA_ONE_TOL = 1e-8
+# A derived parameter less than this many ulps (of |bound| + 1) past a bound snaps onto it.
+_SNAP_ULPS = 4
 
 
 def cos_half_pi(alpha: float) -> float:
@@ -81,14 +83,14 @@ def _require_count(value: object, message: str, least: float = 0) -> int:
     return count
 
 
-def _snap_into(value: float, bound: float, lower: bool, ulps: int = 4) -> float:
+def _snap_into(value: float, bound: float, lower: bool) -> float:
     # Derived parameters can land a few ulps outside a semantic boundary;
     # raw user input is never snapped (validation compares exactly).
     if lower:
-        if bound >= value > bound - ulps * math.ulp(abs(bound) + 1.0):
+        if bound >= value > bound - _SNAP_ULPS * math.ulp(abs(bound) + 1.0):
             return bound
     else:
-        if bound <= value < bound + ulps * math.ulp(abs(bound) + 1.0):
+        if bound <= value < bound + _SNAP_ULPS * math.ulp(abs(bound) + 1.0):
             return bound
     return value
 

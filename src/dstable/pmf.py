@@ -301,19 +301,17 @@ def _push(
     support: int,
     e: int,
     h: int,
-    work: _FftWork,
+    work: _FftWork | None,
 ) -> None:
     """Add the block f(e-h .. e-1)'s share of f(e .. e+h-1) to the pending sums.
 
     With h the lowest set bit of e, every pair of entries i < n in different
-    leaves falls in exactly one such push. Rates past ``support`` are zero, so
-    a finite-support law pushes a short block into few entries, and a law
-    whose rates are all 0 pushes nothing. The direct products are
-    np.convolve's own call, np.correlate on the reversed block.
+    leaves falls in exactly one such push. Rates from ``support`` on are zero,
+    so a finite-support law pushes a short block into few entries. The direct
+    products are np.convolve's own call, np.correlate on the reversed block.
+    work: the FFT state, for a block of at least _FFT_MIN entries.
     """
     top = min(e + h, scaled.size, e + support - 1)
-    if top <= e:  # no rates: every jump mass underflowed (alpha near 0)
-        return
     lo = max(e - h, e - support + 1)
     if e - lo >= _FFT_MIN:
         # cyclic convolution of length 2h: outputs h..2h-1 take no wrapped
@@ -396,34 +394,25 @@ def _leaf_inverses(
 class _Inverses:
     """One table's leaf inverses, built a batch at a time (see _batch).
 
-    The first build gathers the rates' Toeplitz matrix and makes the one
-    array that every batch of the table is built into. Growing the rates
-    keeps the 64 that the matrix reads.
+    Construction gathers the rates' Toeplitz matrix and makes the one array
+    that every batch of the table is built into. Growing the rates keeps
+    the 64 that the matrix reads.
     """
 
-    __slots__ = ("weights", "n_max", "first", "count", "toeplitz", "batch")
+    __slots__ = ("n_max", "first", "count", "toeplitz", "batch")
 
     def __init__(self, weights: np.ndarray, n_max: int):
-        self.weights = weights
         self.n_max = n_max
         self.first = self.count = 0
-        self.toeplitz = self.batch = None
+        self.toeplitz = weights[_LAGS]
+        self.batch = np.zeros((min(_BATCH, n_max // _LEAF + 1), _LEAF, _LEAF))
 
     def leaf(self, index: int) -> np.ndarray:
         if not self.first <= index < self.first + self.count:
-            last = self.n_max // _LEAF
-            if self.batch is None:
-                self.toeplitz = self.weights[_LAGS]
-                self.batch = np.zeros((min(_BATCH, last + 1), _LEAF, _LEAF))
-            first, count = self.first, self.count = _batch(index, last)
+            first, count = self.first, self.count = _batch(index, self.n_max // _LEAF)
             rows = self.n_max + 1 - first * _LEAF
             self.batch = _leaf_inverses(self.toeplitz, first, count, rows, self.batch)
         return self.batch[index - self.first]
-
-
-def _support(weights: np.ndarray) -> int:
-    """Length of the rates without trailing zeros (O(1) for unbounded support)."""
-    return weights.size if weights[-1] else np.trim_zeros(weights, "b").size
 
 
 def _solve_span(
@@ -596,16 +585,17 @@ def _recursion(lam: float, rates: _Rates, n_max: int, target: float, blocks: boo
     scaled = np.zeros(cap)
     scaled[0] = scaled0
     cum = math.ldexp(scaled0, exp2)
-    # length of the rates without trailing zeros: a solve from entry 1 needs
-    # it, else it waits for the first push (0 until then)
-    support = _support(weights) if blocks else 0
+    # the rates are 0 from w_support on: Hermite and Poisson laws jump by at
+    # most 2, and the other laws' support passes every entry
+    support = n_max + 2 if blocks else 3
     # a leaf's second entry adds its pending sum (the older terms) first and
     # w1 f(n-1) last, in the order of the direct dot product: finite-support
     # laws keep the direct dot product's digits
     second = np.array((1.0, weights[1]))
-    work = _FftWork()
     ldexp = math.ldexp
-    inverses = _Inverses(weights, n_max)
+    # finite support solves no span and pushes no block long enough for the FFT
+    work = _FftWork() if blocks else None
+    inverses = _Inverses(weights, n_max) if blocks else None
 
     n = leaf = 0
     # blocks: spans are solved by their leaf inverses (see _solve_span) from
@@ -623,9 +613,6 @@ def _recursion(lam: float, rates: _Rates, n_max: int, target: float, blocks: boo
                     cap = min(n_max, 2 * (cap - 1)) + 1
                     weights = rates.grow(cap)
                     scaled = np.concatenate((scaled, np.zeros(cap - scaled.size)))
-                    support = 0
-                if not support:
-                    support = _support(weights)
                 _push(scaled, weights, support, n, h, work)
             if blocks and (j == 0 or n == 1):
                 end = min(n - n % _SPAN + _SPAN, n_max + 1)

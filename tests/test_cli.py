@@ -451,12 +451,20 @@ class TestConvertCommand:
         assert code == 2
         assert "--alpha" in err
 
-    def test_unsupported_direction_exit_two(self, capsys):
-        code, _, _ = run_cli(
-            capsys, "convert", "--from", "es", "--to", "compound",
-            "--alpha", "2", "--sigma", "1", "--delta", "4",
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--from", "es", "--to", "compound", "--alpha", "2", "--sigma", "1", "--delta", "4"],
+            ["--from", "ds", "--to", "ds", "--alpha", "1.5", "--gamma", "1", "--delta", "3"],
+            ["--from", "compound", "--to", "es", "--lam", "2", "--alpha", "1.5", "--rho", "1.2"],
+        ],
+        ids=["es-compound", "ds-ds", "compound-es"],
+    )
+    def test_unsupported_direction_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, "convert", *argv)
         assert code == 2
+        assert out == ""
+        assert "supports" in err
 
 
 class TestPlotDataCommand:

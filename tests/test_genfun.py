@@ -216,6 +216,10 @@ class TestTranslation:
         q = translate_params(DSParams(2.0, 1.0, 2.5), -0.5)
         assert q.delta == 2.0
 
+    def test_non_finite_translation_raises(self):
+        with pytest.raises(InvalidTranslation, match="finite"):
+            translate_params(DSParams(2.0, 1.0, 2.0), math.nan)
+
     def test_pgf_picks_up_poisson_factor(self, grid_params):
         m = 1.25
         shifted = translate_params(grid_params, m)

@@ -26,6 +26,7 @@ from dstable.errors import (
     DeltaLimViolation,
     DomainError,
     GammaSignViolation,
+    NoScaleForDegenerate,
     ParameterError,
     PoissonConventionViolation,
     RhoOutOfRange,
@@ -107,6 +108,10 @@ class TestValidateBSib:
         with pytest.raises(RhoOutOfRange):
             BSibParams(1.5, 0.5)  # needs rho > 1
 
+    def test_alpha_out_of_range(self):
+        with pytest.raises(AlphaOutOfRange):
+            BSibParams(2.5, 0.0)
+
     @pytest.mark.parametrize(
         "alpha,rho,ok",
         [
@@ -156,6 +161,8 @@ class TestCompoundConversion:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateDistribution):
             ds_to_compound(DSParams(1.0, 0.0, 0.0))
+        with pytest.raises(DegenerateDistribution):
+            CompoundRep(0.0, BSibParams(0.5, 0.0))
 
     def test_poisson_maps_to_unit_jumps(self):
         c = ds_to_compound(DSParams(1.0, 0.0, 3.0))
@@ -227,6 +234,15 @@ class TestESConversion:
     def test_delta_lim_violation(self):
         with pytest.raises(DeltaLimViolation):
             ESParams(2.0, 1.0, 1.9)  # needs delta >= -2*sec(pi)*1 = 2
+
+    def test_alpha_out_of_range(self):
+        with pytest.raises(AlphaOutOfRange):
+            ESParams(2.5, 1.0, 3.0)
+
+    def test_no_scale_when_the_base_underflows(self):
+        # -gamma cos(pi alpha/2) = 1e-310 * 1.7e-16 rounds to 0: no sigma > 0 solves it
+        with pytest.raises(NoScaleForDegenerate):
+            ds_to_es(DSParams(1.0 + 2.0**-52, 1e-310, 1.0))
 
     def test_sigma_constraints(self):
         with pytest.raises(ParameterError):
@@ -369,6 +385,9 @@ VALUE_CALLS = {
     "split": lambda v: dstable.RngStream(1).split(v),
     "translate": lambda v: dstable.translate(v, 1.0, dstable.RngStream(1)),
     "stability_residual": lambda v: dstable.stability_residual(_P, 0.5, mu=v),
+    "zgrid": lambda v: dstable.stability_residual(_P, 0.5, zgrid=[v]),
+    "selfdecomp_remainder": lambda v: dstable.selfdecomp_remainder(_P, v),
+    "radius": lambda v: dstable.ds_pmf_inversion(_P, 10, 64, radius=v),
     "pgf": lambda v: dstable.pgf(_P, v),
     "bsib_pgf": lambda v: dstable.bsib_pgf(BSibParams(0.5, 0.0), v),
 }
@@ -379,7 +398,8 @@ VALUE_CALLS = {
     [("mode_scan", math.nan), ("mode_scan", -1.0), ("thin", math.nan), ("thin", math.inf),
      ("thin", -math.inf), ("RngStream", math.nan), ("RngStream", math.inf),
      ("split", -1), ("translate", -3), ("stability_residual", math.nan),
-     ("stability_residual", math.inf), ("stability_residual", -math.inf),
+     ("stability_residual", math.inf), ("stability_residual", -math.inf), ("zgrid", 1.0),
+     ("selfdecomp_remainder", 1.0), ("radius", 1.5),
      ("pgf", math.nan), ("pgf", complex(math.nan, 0.0)), ("pgf", complex(0.5, math.nan)),
      ("pgf", complex(math.inf, math.nan)), ("bsib_pgf", math.nan)],
 )

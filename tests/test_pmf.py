@@ -366,6 +366,10 @@ FINITE_SUPPORT = [
 # heavy tails: alpha near 0, below and above 1, and compound rates of 1000 and 2000
 HEAVY_TAILS = [(0.05, -1.0, 0.0), (0.5, -1.0, 0.0), (1.3, 1.0, 2.0), (1.5, 1.0, 3.0),
                (1.5, 1.0, 2001.0)]
+# unbounded support with underflowing jump rates: at alpha = 5e-324 all of
+# them round to 0 (f(0) = e^-0.5, every later mass 0); at gamma = +-1e-310
+# the core's rates are subnormal
+UNDERFLOW = [(5e-324, -0.5, 0.0), (1.5, 1e-310, 1.0), (0.5, -1e-310, 1.0)]
 
 
 class TestRelaxedRecursion:
@@ -379,12 +383,24 @@ class TestRelaxedRecursion:
         direct = oracles.direct_ds_pmf(p, 3000, tail_bound)
         assert table.masses.tolist() == direct.tolist()
 
-    @pytest.mark.parametrize("raw", PARAM_GRID + [(1.5, 1.0, 1000.0)])
+    @pytest.mark.parametrize("raw", PARAM_GRID + [(1.5, 1.0, 1000.0)] + UNDERFLOW)
     def test_stop_index_matches_direct(self, raw):
         p = DSParams(*raw)
         for tail_bound in (1e-12, 1e-9, 1e-6):
             table = make_table(p, n_max=3000, tail_bound=tail_bound)
             assert len(table) == oracles.direct_ds_pmf(p, 3000, tail_bound).size
+
+    @pytest.mark.parametrize(
+        "raw,size,tol", list(zip(UNDERFLOW, (3001, 19, 19), (0.0, 1e-15, 1e-15)))
+    )
+    def test_underflowing_rates_match_direct(self, raw, size, tol):
+        # all rates 0: every push adds zeros, and the table runs to n_max;
+        # subnormal core rates (w_2 = 7.5e-311, 2.5e-311) leave a Poisson(1) law
+        p = DSParams(*raw)
+        got = make_table(p, n_max=3000, tail_bound=0.0).masses
+        want = oracles.direct_ds_pmf(p, 3000, 0.0)
+        assert got.size == want.size == size
+        assert np.max(np.abs(got - want)) <= tol
 
     @pytest.mark.parametrize("raw", HEAVY_TAILS)
     def test_heavy_tail_accuracy(self, raw):
@@ -565,7 +581,7 @@ LONG_SPANS = {(1.5, 1.0, 1000.0): (20000,), (1.5, 1.0, 1e4): (20000,), (1.5, 1.0
 class TestBareSpans:
     """Spans of leaves solved at once at every rate, their running sum added once a span."""
 
-    @pytest.mark.parametrize("raw", PARAM_GRID + HEAVY_TAILS)
+    @pytest.mark.parametrize("raw", PARAM_GRID + HEAVY_TAILS + UNDERFLOW)
     def test_masses_independent_of_n_max(self, raw):
         p = DSParams(*raw)
         for n in (255, 256, 257, 511, 512, 513, 767, 1023, 1025):
@@ -807,8 +823,8 @@ class TestTableState:
         assert work.real.size == 2 * 16384 and sorted(work.spectra) == [512 << i for i in range(6)]
 
     def test_law_without_rates(self):
-        # alpha = 5e-324: every jump mass underflows, so no push has rates to
-        # apply, and the table holds f(0) and its honest tail
+        # alpha = 5e-324: every jump mass underflows, so every push adds
+        # zeros, and the table holds f(0) and its honest tail
         with pytest.warns(TailBoundUnreachable):
             table = ds_pmf(DSParams(5e-324, -1.0, 0.0), n_max=3000)
         assert table.masses[0] == math.exp(-1.0)
@@ -1045,6 +1061,10 @@ class TestTableQueries:
     def test_non_finite_mass_rejected(self, bad):
         with pytest.raises(InternalConsistencyError, match="non-finite"):
             PmfTable(np.array([bad, 0.5]), "x")
+
+    def test_empty_masses_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            PmfTable(np.array([]), "x")
 
     def test_cdf_poisson(self):
         table = make_table(DSParams(1.0, 0.0, 2.0), n_max=60)

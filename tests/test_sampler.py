@@ -791,6 +791,13 @@ class TestThin:
         with pytest.raises(DomainError):
             thin(np.array([3, -1]), 0.5, rng)
 
+    def test_empty_array_draws_nothing(self):
+        rng, ref = RngStream(28), RngStream(28)
+        empty = np.array([], dtype=np.int64)
+        out = thin(empty, 0.5, rng)
+        assert out.dtype == np.int64 and out.size == 0
+        assert rng.random() == ref.random()
+
     def test_object_array_mixes_exact_and_normal_limit(self):
         rng = RngStream(27)
         x = np.array([10, 2**62 - 1, 2**62, 10**30], dtype=object)
@@ -1109,6 +1116,10 @@ class TestPoolCounts:
         assert exp.min() >= 5.0
         assert obs.sum() == observed.sum()
         assert exp.sum() == expected.sum()
+
+    def test_no_bin_reaches_the_least_expected(self):
+        obs, exp = pool_counts(np.array([1.0, 2.0, 0.0]), np.array([1.0, 1.5, 2.0]))
+        assert obs.tolist() == [3.0] and exp.tolist() == [4.5]
 
     def test_trailing_remainder_folds_back(self):
         obs, exp = pool_counts(np.array([10.0, 1.0]), np.array([10.0, 1.0]))
